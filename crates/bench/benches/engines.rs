@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dfcnn_bench::{quick_test_case_1, TestCase};
-use dfcnn_core::exec::{ReplicationPlan, ThreadedEngine};
+use dfcnn_core::exec::{ReplicationPlan, Schedule, ThreadedEngine};
 use dfcnn_tensor::Tensor3;
 
 fn batch(tc: &TestCase, n: usize) -> Vec<Tensor3<f32>> {
@@ -31,10 +31,11 @@ fn bench_threaded(c: &mut Criterion) {
     let tc = quick_test_case_1();
     let images = batch(&tc, 8);
     let engine = ThreadedEngine::new(&tc.design);
+    let plain = Schedule::Fixed(ReplicationPlan::uniform(engine.stage_count()));
     let mut g = c.benchmark_group("threaded_engine_tc1");
     g.sample_size(10);
     g.bench_function("pipelined_batch8", |b| {
-        b.iter(|| black_box(engine.run(black_box(&images)).outputs.len()))
+        b.iter(|| black_box(engine.run(black_box(&images), &plain).0.outputs.len()))
     });
     g.bench_function("sequential_batch8", |b| {
         b.iter(|| black_box(engine.run_sequential(black_box(&images)).outputs.len()))
@@ -52,19 +53,11 @@ fn bench_replicated(c: &mut Criterion) {
         .iter()
         .map(|n| if n.starts_with("conv") { 2 } else { 1 })
         .collect();
-    let plan = ReplicationPlan { factors };
+    let schedule = Schedule::Fixed(ReplicationPlan { factors });
     let mut g = c.benchmark_group("replicated_engine_tc1");
     g.sample_size(10);
     g.bench_function("conv_x2_batch16", |b| {
-        b.iter(|| {
-            black_box(
-                engine
-                    .run_with_plan(black_box(&images), &plan)
-                    .0
-                    .outputs
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(engine.run(black_box(&images), &schedule).0.outputs.len()))
     });
     g.finish();
 }

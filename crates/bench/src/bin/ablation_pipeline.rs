@@ -20,7 +20,7 @@
 //! ```
 
 use dfcnn_bench::{quick_test_case_1, quick_test_case_2, write_json, TestCase};
-use dfcnn_core::exec::ThreadedEngine;
+use dfcnn_core::exec::{ReplicationPlan, Schedule, ThreadedEngine};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -92,9 +92,10 @@ fn main() {
     let images: Vec<_> = (0..32)
         .map(|i| tc.images[i % tc.images.len()].clone())
         .collect();
+    let plain = Schedule::Fixed(ReplicationPlan::uniform(engine.stage_count()));
     // warm up thread spawn paths once
-    let _ = engine.run(&images[..2]);
-    let par = engine.run(&images);
+    let _ = engine.run(&images[..2], &plain);
+    let (par, _) = engine.run(&images, &plain);
     let seq = engine.run_sequential(&images);
     assert_eq!(par.outputs, seq.outputs, "engines must agree bit-for-bit");
     let speedup = seq.total.as_secs_f64() / par.total.as_secs_f64();

@@ -10,7 +10,9 @@
 //!
 //! * the sequential baseline (one image at a time through all stages),
 //! * the plain pipeline (one worker per stage),
-//! * the replicated pipeline (profiling pre-pass + balanced plan),
+//! * the replicated pipeline ([`dfcnn_core::exec::Schedule::Balanced`]:
+//!   profiling pre-pass + balanced plan; the sequential path on a
+//!   single-thread host),
 //!
 //! prints the per-stage [`dfcnn_core::exec::PipelineProfile`], checks all
 //! three paths are bit-identical, and writes both
@@ -24,7 +26,7 @@
 //! ```
 
 use dfcnn_bench::{quick_test_case_1, quick_test_case_2, write_json, TestCase};
-use dfcnn_core::exec::{PipelineProfile, ReplicationPlan, ThreadedEngine};
+use dfcnn_core::exec::{PipelineProfile, ReplicationPlan, Schedule, ThreadedEngine};
 use dfcnn_tensor::Tensor3;
 use serde::Serialize;
 
@@ -75,13 +77,18 @@ fn measure(tc: &TestCase, host_threads: usize) -> Row {
     let n = (4 * depth).max(20);
     let images = batch(tc, n);
 
+    let plain = Schedule::Fixed(ReplicationPlan::uniform(depth));
     // warm the page cache / thread machinery outside the timed region
-    let _ = engine.run(&images[..depth.min(images.len())]);
+    let _ = engine.run(&images[..depth.min(images.len())], &plain);
 
     let seq = engine.run_sequential(&images);
-    let (pipe, _) = engine.run_with_plan(&images, &ReplicationPlan::uniform(depth));
-    let plan = engine.plan_for_host(&images);
-    let (repl, profile) = engine.run_with_plan(&images, &plan);
+    let (pipe, _) = engine.run(&images, &plain);
+    let (repl, profile) = engine.run(
+        &images,
+        &Schedule::Balanced {
+            threads: host_threads,
+        },
+    );
 
     assert_eq!(
         pipe.outputs, seq.outputs,
@@ -103,7 +110,7 @@ fn measure(tc: &TestCase, host_threads: usize) -> Row {
         stage_count: depth,
         host_threads,
         cpu: cpu_model(),
-        plan: plan.factors.clone(),
+        plan: profile.stages.iter().map(|s| s.replication).collect(),
         sequential_s,
         pipelined_s,
         replicated_s,

@@ -10,7 +10,7 @@
 //!   atomics, so this measures exactly that mirroring). Release builds
 //!   assert the median overhead stays ≤ 5% (plus a small absolute epsilon
 //!   for timer noise on short runs).
-//! * **adaptive replication** — `ThreadedEngine::run_adaptive` warms up
+//! * **adaptive replication** — `Schedule::Adaptive` warms up
 //!   sequentially, replans from its own `MetricsSnapshot` deltas, and must
 //!   beat or match both the sequential baseline and the static balanced
 //!   plan on Test Case 2 when real parallelism exists; on a single-core
@@ -26,7 +26,7 @@
 //! ```
 
 use dfcnn_bench::{quick_test_case_1, quick_test_case_2, write_json, TestCase};
-use dfcnn_core::exec::{ReplicationPlan, ThreadedEngine};
+use dfcnn_core::exec::{ReplicationPlan, Schedule, ThreadedEngine};
 use dfcnn_core::observe::live::{snapshots_to_jsonl, MetricsSnapshot, Sampler};
 use dfcnn_tensor::Tensor3;
 use serde::Serialize;
@@ -137,21 +137,32 @@ fn measure_adaptive(tc: &TestCase, host_threads: usize) -> AdaptiveRow {
     let images = batch(tc, n);
 
     // warm caches/threads outside every timed region
-    let _ = engine.run(&images[..depth.min(images.len())]);
+    let plain = Schedule::Fixed(ReplicationPlan::uniform(depth));
+    let _ = engine.run(&images[..depth.min(images.len())], &plain);
 
     let t0 = Instant::now();
     let seq = engine.run_sequential(&images);
     let sequential_s = t0.elapsed().as_secs_f64();
 
-    let plan = engine.plan_for_threads(&images, host_threads);
-    let t0 = Instant::now();
-    let (bal, _) = engine.run_with_plan(&images, &plan);
-    let balanced_s = t0.elapsed().as_secs_f64();
+    // the planning pre-pass stays outside the timed region: ExecResult's
+    // total covers the planned run only
+    let (bal, _) = engine.run(
+        &images,
+        &Schedule::Balanced {
+            threads: host_threads,
+        },
+    );
+    let balanced_s = bal.total.as_secs_f64();
 
     let t0 = Instant::now();
-    let (ada, _profile, adaptive_plan) =
-        engine.run_adaptive_with_parallelism(&images, host_threads);
+    let (ada, profile) = engine.run(
+        &images,
+        &Schedule::Adaptive {
+            threads: host_threads,
+        },
+    );
     let adaptive_s = t0.elapsed().as_secs_f64();
+    let adaptive_plan: Vec<usize> = profile.stages.iter().map(|s| s.replication).collect();
 
     assert_eq!(
         ada.outputs, seq.outputs,
@@ -168,7 +179,7 @@ fn measure_adaptive(tc: &TestCase, host_threads: usize) -> AdaptiveRow {
         // the adaptive runner must have taken the sequential path
         assert_eq!(
             adaptive_plan,
-            ReplicationPlan::uniform(depth),
+            vec![1; depth],
             "{}: adaptive must fall back to the sequential path on 1 thread",
             tc.name
         );
@@ -178,7 +189,7 @@ fn measure_adaptive(tc: &TestCase, host_threads: usize) -> AdaptiveRow {
         case: tc.name.to_string(),
         batch: n,
         host_threads,
-        adaptive_plan: adaptive_plan.factors.clone(),
+        adaptive_plan,
         sequential_s,
         balanced_s,
         adaptive_s,

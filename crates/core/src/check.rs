@@ -55,7 +55,7 @@
 //! that each seeded violation class is rejected with the expected rule id
 //! *and* independently confirmed by the cycle simulator deadlocking.
 
-use crate::exec::ReplicationPlan;
+use crate::exec::{ReplicationPlan, MAX_REPLICATION};
 use crate::graph::{DesignConfig, NetworkDesign, PortConfig};
 use crate::model;
 use crate::observe::DriftReport;
@@ -64,10 +64,6 @@ use std::fmt;
 
 /// Inter-layer FIFO depths above this are flagged as BRAM waste.
 const FIFO_WASTE_DEPTH: usize = 64;
-
-/// The threaded-engine host planner caps replication factors here
-/// ([`crate::exec::ThreadedEngine::plan_for_host`]).
-const REPLICATION_CAP: usize = 4;
 
 /// How bad a diagnostic is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -659,16 +655,16 @@ pub fn check_replication(plan: &ReplicationPlan, stage_count: usize) -> Vec<Desi
                 "replication factor 0: no worker serves any image of this stage".to_string(),
                 "factors must be \u{2265} 1",
             ));
-        } else if f > REPLICATION_CAP {
+        } else if f > MAX_REPLICATION {
             out.push(diag(
                 Severity::Warning,
                 RuleId::ReplicationSoundness,
                 format!("stage {i}"),
                 format!(
                     "replication factor {f} exceeds the host planner's cap of \
-                     {REPLICATION_CAP}: extra workers contend without raising throughput"
+                     {MAX_REPLICATION}: extra workers contend without raising throughput"
                 ),
-                "cap factors at 4 (see ThreadedEngine::plan_for_host)",
+                format!("cap factors at {MAX_REPLICATION} (see Schedule::Balanced)"),
             ));
         }
     }

@@ -81,6 +81,13 @@ impl ExecResult {
     }
 }
 
+/// Largest replication factor the balanced planner gives one stage; the
+/// static checker warns above it.
+pub const MAX_REPLICATION: usize = 4;
+
+/// Most extra workers (beyond one per stage) the balanced planner adds.
+const MAX_EXTRA_WORKERS: usize = 8;
+
 /// Per-stage replication factors: how many worker threads serve each
 /// pipeline stage. The host analogue of the paper's Eq. 4 port scaling —
 /// replicating a stage divides its effective interval the way adding ports
@@ -99,30 +106,23 @@ impl ReplicationPlan {
         }
     }
 
-    /// Allocate up to `extra_workers` additional workers greedily to the
-    /// stage with the largest *effective* interval (`mean / factor`),
-    /// capping each stage at `max_factor`. Stops early when the global
-    /// bottleneck can no longer be replicated (further workers would not
-    /// raise throughput). On a host with a single hardware thread
-    /// (`host_threads <= 1`) replication cannot overlap anything — the
-    /// documented lose-to-sequential case — so the plan stays uniform.
-    pub fn balanced(
-        mean_interval_ns: &[u64],
-        host_threads: usize,
-        extra_workers: usize,
-        max_factor: usize,
-    ) -> Self {
-        assert!(max_factor >= 1);
-        let n = mean_interval_ns.len();
-        if host_threads <= 1 {
-            return ReplicationPlan::uniform(n);
-        }
+    /// Allocate up to `min(host_threads - 1, 8)` additional workers
+    /// greedily to the stage with the largest *effective* interval
+    /// (`mean / factor`), capping each stage at [`MAX_REPLICATION`]. Stops
+    /// early when the global bottleneck can no longer be replicated
+    /// (further workers would not raise throughput). On a host with a
+    /// single hardware thread (`host_threads <= 1`) replication cannot
+    /// overlap anything — the documented lose-to-sequential case — so the
+    /// plan stays uniform.
+    pub fn balanced(measured_ns: &[u64], host_threads: usize) -> Self {
+        let n = measured_ns.len();
         let mut factors = vec![1usize; n];
-        let eff = |i: usize, f: &[usize]| mean_interval_ns[i] / f[i] as u64;
+        let extra_workers = host_threads.saturating_sub(1).min(MAX_EXTRA_WORKERS);
+        let eff = |i: usize, f: &[usize]| measured_ns[i] / f[i] as u64;
         for _ in 0..extra_workers {
             let bound = (0..n).map(|i| eff(i, &factors)).max().unwrap_or(0);
             let candidate = (0..n)
-                .filter(|&i| factors[i] < max_factor)
+                .filter(|&i| factors[i] < MAX_REPLICATION)
                 .max_by_key(|&i| eff(i, &factors));
             match candidate {
                 Some(i) if eff(i, &factors) == bound && bound > 0 => factors[i] += 1,
@@ -132,28 +132,41 @@ impl ReplicationPlan {
         ReplicationPlan { factors }
     }
 
-    /// A measurement-driven plan: replication factors computed from
-    /// *measured* per-stage service times (live telemetry cells), not a
-    /// static cost model. Returns `None` when the host has no parallelism
-    /// to exploit (`host_threads <= 1`) — the caller must fall back to
-    /// sequential execution, never a thread-per-stage pipeline.
-    pub fn adaptive(measured_ns: &[u64], host_threads: usize, max_factor: usize) -> Option<Self> {
-        if host_threads <= 1 {
-            return None;
-        }
-        let extra = host_threads.saturating_sub(1).min(8);
-        Some(ReplicationPlan::balanced(
-            measured_ns,
-            host_threads,
-            extra,
-            max_factor,
-        ))
-    }
-
     /// Total worker threads the plan spawns.
     pub fn workers(&self) -> usize {
         self.factors.iter().sum()
     }
+}
+
+/// How [`ThreadedEngine::run`] schedules a batch onto threads. The
+/// computation is the same under every schedule — outputs are in input
+/// order and bit-identical to [`Schedule::Sequential`] — only the
+/// mapping of stages to workers changes.
+#[derive(Clone, Debug)]
+pub enum Schedule {
+    /// One image at a time through every stage on the calling thread
+    /// (what a non-pipelined accelerator would do). Nothing blocks on a
+    /// channel, so the profile's queue and send waits are zero.
+    Sequential,
+    /// The thread pipeline with explicit per-stage replication.
+    Fixed(ReplicationPlan),
+    /// Time each stage sequentially on the first two images, derive a
+    /// [`ReplicationPlan::balanced`] for `threads` hardware threads and run
+    /// the batch with it. The planning pre-pass is excluded from
+    /// [`ExecResult::total`]. Falls back to [`Schedule::Sequential`] when
+    /// the pipeline cannot pay off (one thread or one stage): there the
+    /// worker threads only time-slice one CPU, measured at ~0.65x of the
+    /// sequential baseline.
+    Balanced { threads: usize },
+    /// Measurement-driven pipelining: warm up sequentially, read the
+    /// measured per-stage service times from the live telemetry cells and
+    /// run the rest of the batch under a balanced plan replanned from
+    /// those measurements (with one mid-batch replan on long batches, so
+    /// the plan tracks what the workers actually measure). Falls back to
+    /// [`Schedule::Sequential`] where [`Schedule::Balanced`] does, and on
+    /// batches no longer than the warmup. The profile reports the plan the
+    /// run ended on.
+    Adaptive { threads: usize },
 }
 
 /// Measured behaviour of one pipeline stage during a run.
@@ -496,36 +509,49 @@ impl ThreadedEngine {
         self.stages.iter().map(|s| s.spec.name.as_str()).collect()
     }
 
-    /// Stream a batch through the plain pipeline (one worker per stage).
-    pub fn run(&self, images: &[Tensor3<f32>]) -> ExecResult {
-        self.run_with_plan(images, &ReplicationPlan::uniform(self.stages.len()))
-            .0
-    }
-
-    /// Profile each stage, compute a balanced [`ReplicationPlan`] sized to
-    /// the machine's parallelism, and run the batch with it. On a host
-    /// with a single hardware thread the thread-per-stage pipeline only
-    /// adds context switches (measured ~0.65x of the sequential baseline),
-    /// so the engine degrades to [`ThreadedEngine::run_sequential`] there.
-    pub fn run_pipelined(&self, images: &[Tensor3<f32>]) -> (ExecResult, PipelineProfile) {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.run_pipelined_with_parallelism(images, threads)
-    }
-
-    /// [`ThreadedEngine::run_pipelined`] with the host parallelism passed
-    /// explicitly, so the degradation policy is testable on any machine.
-    pub fn run_pipelined_with_parallelism(
+    /// Stream a batch under `schedule`, returning the outputs and the
+    /// per-stage profile. Outputs are in input order and bit-identical to
+    /// [`Schedule::Sequential`] under every schedule. Live cells attached
+    /// with [`ThreadedEngine::with_live`] see every image exactly once;
+    /// the balanced planning pre-pass does not touch them.
+    pub fn run(
         &self,
         images: &[Tensor3<f32>],
-        threads: usize,
+        schedule: &Schedule,
     ) -> (ExecResult, PipelineProfile) {
-        if !Self::should_pipeline(threads, self.stages.len()) {
-            return self.run_sequential_profiled(images);
+        let live = self.live.as_deref();
+        match schedule {
+            Schedule::Sequential => self.run_sequential_live(images, live),
+            Schedule::Fixed(plan) => self.run_with_plan_live(images, plan, live),
+            Schedule::Balanced { threads } => {
+                if !Self::should_pipeline(*threads, self.stages.len()) {
+                    return self.run_sequential_live(images, live);
+                }
+                let warmup = &images[..images.len().min(2)];
+                let (_, pre) = self.run_sequential_live(warmup, None);
+                let means: Vec<u64> = pre.stages.iter().map(|s| s.mean_interval_ns).collect();
+                let plan = ReplicationPlan::balanced(&means, *threads);
+                self.run_with_plan_live(images, &plan, live)
+            }
+            Schedule::Adaptive { threads } => self.run_adaptive(images, *threads),
         }
-        let plan = self.plan_for_threads(images, threads);
-        self.run_with_plan(images, &plan)
+    }
+
+    /// [`Schedule::Balanced`] sized to the machine's parallelism.
+    pub fn run_pipelined(&self, images: &[Tensor3<f32>]) -> (ExecResult, PipelineProfile) {
+        self.run(
+            images,
+            &Schedule::Balanced {
+                threads: host_threads(),
+            },
+        )
+    }
+
+    /// [`Schedule::Sequential`] without the profile. Uses the same arenas
+    /// and staging buffers as the pipeline workers, so it is equally
+    /// allocation-free per image apart from the owned output clone.
+    pub fn run_sequential(&self, images: &[Tensor3<f32>]) -> ExecResult {
+        self.run(images, &Schedule::Sequential).0
     }
 
     /// Whether a thread-per-stage pipeline can beat the sequential loop:
@@ -534,68 +560,6 @@ impl ThreadedEngine {
     /// channel hops become pure overhead.
     fn should_pipeline(threads: usize, stages: usize) -> bool {
         threads > 1 && stages > 1
-    }
-
-    /// The balanced plan [`ThreadedEngine::run_pipelined`] would use:
-    /// stage intervals from a warmup sample, extra workers bounded by the
-    /// host's spare hardware threads, factors capped at 4.
-    pub fn plan_for_host(&self, images: &[Tensor3<f32>]) -> ReplicationPlan {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.plan_for_threads(images, threads)
-    }
-
-    /// [`ThreadedEngine::plan_for_host`] with the thread count explicit.
-    pub fn plan_for_threads(&self, images: &[Tensor3<f32>], threads: usize) -> ReplicationPlan {
-        assert!(!images.is_empty(), "empty batch");
-        let warmup = &images[..images.len().min(2)];
-        let stats = self.profile_stages(warmup);
-        let means: Vec<u64> = stats.iter().map(|s| s.mean_ns()).collect();
-        let extra = threads.saturating_sub(1).min(8);
-        ReplicationPlan::balanced(&means, threads, extra, 4)
-    }
-
-    /// Time each stage on a warmup sample (run sequentially, one
-    /// measurement per stage per image) — the profiling pre-pass behind
-    /// [`ReplicationPlan::balanced`].
-    pub fn profile_stages(&self, sample: &[Tensor3<f32>]) -> Vec<IntervalStats> {
-        let mut workers: Vec<Box<dyn StageWorker>> =
-            self.stages.iter().map(|s| s.spec.make_worker()).collect();
-        let mut bufs: Vec<Tensor3<f32>> = self
-            .stages
-            .iter()
-            .map(|s| Tensor3::zeros(s.spec.out_shape))
-            .collect();
-        let mut stats = vec![IntervalStats::new(); self.stages.len()];
-        for img in sample {
-            for s in 0..self.stages.len() {
-                let (done, rest) = bufs.split_at_mut(s);
-                let refs: Vec<&Tensor3<f32>> = self.stages[s]
-                    .inputs
-                    .iter()
-                    .map(|inp| match inp {
-                        StageInput::Image => img,
-                        StageInput::Stage(t) => &done[*t],
-                    })
-                    .collect();
-                let t = Instant::now();
-                workers[s].apply_multi(&refs, &mut rest[0]);
-                stats[s].record(t.elapsed().as_nanos() as u64);
-            }
-        }
-        stats
-    }
-
-    /// Stream a batch through the pipeline with explicit per-stage
-    /// replication. Outputs are in input order and bit-identical to
-    /// [`ThreadedEngine::run_sequential`] for any plan.
-    pub fn run_with_plan(
-        &self,
-        images: &[Tensor3<f32>],
-        plan: &ReplicationPlan,
-    ) -> (ExecResult, PipelineProfile) {
-        self.run_with_plan_live(images, plan, self.live.as_deref())
     }
 
     fn run_with_plan_live(
@@ -682,56 +646,13 @@ impl ThreadedEngine {
             wait[s].merge(&ws.wait);
             send[s].merge(&ws.send);
         }
-        let profile = PipelineProfile {
-            stages: self
-                .stages
-                .iter()
-                .enumerate()
-                .map(|(s, st)| StageProfile {
-                    name: st.spec.name.clone(),
-                    replication: r[s],
-                    images: busy[s].count,
-                    mean_interval_ns: busy[s].mean_ns(),
-                    max_interval_ns: busy[s].max_ns,
-                    mean_queue_wait_ns: wait[s].mean_ns(),
-                    mean_send_wait_ns: send[s].mean_ns(),
-                    service_total_ns: busy[s].total_ns,
-                    queue_wait_total_ns: wait[s].total_ns,
-                    send_wait_total_ns: send[s].total_ns,
-                })
-                .collect(),
-            batch: images.len(),
-            total_ns: total.as_nanos() as u64,
-        };
-        (
-            ExecResult {
-                outputs,
-                completion_times,
-                total,
-            },
-            profile,
-        )
-    }
-
-    /// Sequential baseline: the same hardware-order stages, one image at a
-    /// time on one thread (what a non-pipelined accelerator would do).
-    /// Uses the same arenas and staging buffers as the pipeline workers,
-    /// so it is equally allocation-free per image apart from the owned
-    /// output clone.
-    pub fn run_sequential(&self, images: &[Tensor3<f32>]) -> ExecResult {
-        self.run_sequential_profiled(images).0
-    }
-
-    /// [`ThreadedEngine::run_sequential`] with per-stage timing, shaped
-    /// like a pipelined profile (replication 1, zero queue/send waits —
-    /// nothing ever blocks on a channel). This is the run
-    /// [`ThreadedEngine::run_pipelined`] falls back to when
-    /// [`ThreadedEngine::should_pipeline`] says threading cannot pay off.
-    pub fn run_sequential_profiled(
-        &self,
-        images: &[Tensor3<f32>],
-    ) -> (ExecResult, PipelineProfile) {
-        self.run_sequential_live(images, self.live.as_deref())
+        let rows = (0..n)
+            .map(|s| {
+                let totals = [busy[s].total_ns, wait[s].total_ns, send[s].total_ns];
+                self.stage_row(s, r[s], busy[s].count, busy[s].max_ns, totals)
+            })
+            .collect();
+        Self::finish(outputs, completion_times, total, rows)
     }
 
     fn run_sequential_live(
@@ -776,75 +697,31 @@ impl ThreadedEngine {
             completion_times.push(start.elapsed());
         }
         let total = start.elapsed();
-        let profile = PipelineProfile {
-            stages: self
-                .stages
-                .iter()
-                .enumerate()
-                .map(|(s, st)| StageProfile {
-                    name: st.spec.name.clone(),
-                    replication: 1,
-                    images: busy[s].count,
-                    mean_interval_ns: busy[s].mean_ns(),
-                    max_interval_ns: busy[s].max_ns,
-                    mean_queue_wait_ns: 0,
-                    mean_send_wait_ns: 0,
-                    service_total_ns: busy[s].total_ns,
-                    queue_wait_total_ns: 0,
-                    send_wait_total_ns: 0,
-                })
-                .collect(),
-            batch: images.len(),
-            total_ns: total.as_nanos() as u64,
-        };
-        (
-            ExecResult {
-                outputs,
-                completion_times,
-                total,
-            },
-            profile,
-        )
+        let rows = busy
+            .iter()
+            .enumerate()
+            .map(|(s, b)| self.stage_row(s, 1, b.count, b.max_ns, [b.total_ns, 0, 0]))
+            .collect();
+        Self::finish(outputs, completion_times, total, rows)
     }
 
-    /// Measurement-driven pipelining: warm up sequentially, read the
-    /// measured per-stage service times from the live telemetry cells,
-    /// and run the rest of the batch under a [`ReplicationPlan::adaptive`]
-    /// replanned from those measurements (with one mid-batch replan on
-    /// long batches, so the plan tracks what the workers actually
-    /// measure). Falls back to plain sequential execution on a 1-thread
-    /// host. Outputs are in input order and bit-identical to
-    /// [`ThreadedEngine::run_sequential`].
-    pub fn run_adaptive(
-        &self,
-        images: &[Tensor3<f32>],
-    ) -> (ExecResult, PipelineProfile, ReplicationPlan) {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.run_adaptive_with_parallelism(images, threads)
-    }
-
-    /// [`ThreadedEngine::run_adaptive`] with the host parallelism passed
-    /// explicitly, so the sequential fallback is testable on any machine.
-    /// Returns the final plan alongside the stitched result and profile.
-    pub fn run_adaptive_with_parallelism(
+    /// [`Schedule::Adaptive`]: a sequential warmup, then the rest of the
+    /// batch in one or two pipelined chunks, each under a plan derived
+    /// from the live cells' deltas since the previous measurement point.
+    fn run_adaptive(
         &self,
         images: &[Tensor3<f32>],
         threads: usize,
-    ) -> (ExecResult, PipelineProfile, ReplicationPlan) {
-        assert!(!images.is_empty(), "empty batch");
+    ) -> (ExecResult, PipelineProfile) {
         let n = self.stages.len();
+        // tiny batches never outrun their warmup
+        if !Self::should_pipeline(threads, n) || images.len() <= ADAPTIVE_WARMUP {
+            return self.run_sequential_live(images, self.live.as_deref());
+        }
         let live = match &self.live {
             Some(l) => l.clone(),
             None => self.live_metrics(),
         };
-        // ReplicationPlan::adaptive returns None exactly when pipelining
-        // cannot pay off; tiny batches never outrun their warmup either
-        if !Self::should_pipeline(threads, n) || images.len() <= ADAPTIVE_WARMUP {
-            let (res, prof) = self.run_sequential_live(images, Some(&live));
-            return (res, prof, ReplicationPlan::uniform(n));
-        }
         let mut sampler = Sampler::new(live.clone());
         let start = Instant::now();
         let (warm_res, warm_prof) =
@@ -862,12 +739,11 @@ impl ThreadedEngine {
         let mut parts = vec![warm_prof];
         let mut outputs = warm_res.outputs;
         let mut completion_times = warm_res.completion_times;
-        let mut chunk_at = ADAPTIVE_WARMUP;
-        for chunk in [&rest[..split], &rest[split..]] {
+        for (i, chunk) in [&rest[..split], &rest[split..]].into_iter().enumerate() {
             if chunk.is_empty() {
                 continue;
             }
-            if chunk_at > ADAPTIVE_WARMUP {
+            if i > 0 {
                 plan = Self::replan(&mut sampler, &start, threads);
             }
             let offset = start.elapsed();
@@ -875,22 +751,29 @@ impl ThreadedEngine {
             outputs.extend(res.outputs);
             completion_times.extend(res.completion_times.into_iter().map(|t| offset + t));
             parts.push(prof);
-            chunk_at += chunk.len();
         }
         let total = start.elapsed();
-        let profile = Self::merge_profiles(&parts, images.len(), total.as_nanos() as u64);
-        (
-            ExecResult {
-                outputs,
-                completion_times,
-                total,
-            },
-            profile,
-            plan,
-        )
+        // fold the chunk profiles: totals and image counts add, means
+        // re-derive from the exact totals, replication is the final plan
+        let rows = (0..n)
+            .map(|s| {
+                let sum = |f: fn(&StageProfile) -> u64| -> u64 {
+                    parts.iter().map(|p| f(&p.stages[s])).sum()
+                };
+                let max = parts.iter().map(|p| p.stages[s].max_interval_ns).max();
+                let totals = [
+                    sum(|p| p.service_total_ns),
+                    sum(|p| p.queue_wait_total_ns),
+                    sum(|p| p.send_wait_total_ns),
+                ];
+                let images = sum(|p| p.images);
+                self.stage_row(s, plan.factors[s], images, max.unwrap_or(0), totals)
+            })
+            .collect();
+        Self::finish(outputs, completion_times, total, rows)
     }
 
-    /// Sample the live cells and derive a fresh adaptive plan from the
+    /// Sample the live cells and derive a fresh balanced plan from the
     /// measured mean service time per stage since the last sample.
     fn replan(sampler: &mut Sampler, start: &Instant, threads: usize) -> ReplicationPlan {
         let snap = sampler.sample(start.elapsed().as_nanos() as u64);
@@ -899,49 +782,62 @@ impl ThreadedEngine {
             .iter()
             .map(|d| d.service / d.items.max(1))
             .collect();
-        ReplicationPlan::adaptive(&measured, threads, 4)
-            .expect("adaptive callers check threads > 1 first")
+        ReplicationPlan::balanced(&measured, threads)
     }
 
-    /// Fold per-chunk profiles into one batch profile: totals and image
-    /// counts add; means re-derive from the exact totals; replication
-    /// reports the widest factor any chunk used.
-    fn merge_profiles(parts: &[PipelineProfile], batch: usize, total_ns: u64) -> PipelineProfile {
-        let first = parts.first().expect("at least one chunk profile");
-        let stages = (0..first.stages.len())
-            .map(|s| {
-                let images: u64 = parts.iter().map(|p| p.stages[s].images).sum();
-                let service: u64 = parts.iter().map(|p| p.stages[s].service_total_ns).sum();
-                let queue: u64 = parts.iter().map(|p| p.stages[s].queue_wait_total_ns).sum();
-                let send: u64 = parts.iter().map(|p| p.stages[s].send_wait_total_ns).sum();
-                StageProfile {
-                    name: first.stages[s].name.clone(),
-                    replication: parts
-                        .iter()
-                        .map(|p| p.stages[s].replication)
-                        .max()
-                        .unwrap_or(1),
-                    images,
-                    mean_interval_ns: service / images.max(1),
-                    max_interval_ns: parts
-                        .iter()
-                        .map(|p| p.stages[s].max_interval_ns)
-                        .max()
-                        .unwrap_or(0),
-                    mean_queue_wait_ns: queue / images.max(1),
-                    mean_send_wait_ns: send / images.max(1),
-                    service_total_ns: service,
-                    queue_wait_total_ns: queue,
-                    send_wait_total_ns: send,
-                }
-            })
-            .collect();
-        PipelineProfile {
-            stages,
-            batch,
-            total_ns,
+    /// One profile row from exact `[service, queue wait, send wait]`
+    /// totals; the means are the totals over the images served.
+    fn stage_row(
+        &self,
+        s: usize,
+        replication: usize,
+        images: u64,
+        max_interval_ns: u64,
+        [service, queue, send]: [u64; 3],
+    ) -> StageProfile {
+        let mean = |total: u64| total.checked_div(images).unwrap_or(0);
+        StageProfile {
+            name: self.stages[s].spec.name.clone(),
+            replication,
+            images,
+            mean_interval_ns: mean(service),
+            max_interval_ns,
+            mean_queue_wait_ns: mean(queue),
+            mean_send_wait_ns: mean(send),
+            service_total_ns: service,
+            queue_wait_total_ns: queue,
+            send_wait_total_ns: send,
         }
     }
+
+    /// Package a run's outputs and per-stage rows.
+    fn finish(
+        outputs: Vec<Tensor3<f32>>,
+        completion_times: Vec<Duration>,
+        total: Duration,
+        stages: Vec<StageProfile>,
+    ) -> (ExecResult, PipelineProfile) {
+        let profile = PipelineProfile {
+            stages,
+            batch: outputs.len(),
+            total_ns: total.as_nanos() as u64,
+        };
+        (
+            ExecResult {
+                outputs,
+                completion_times,
+                total,
+            },
+            profile,
+        )
+    }
+}
+
+/// The host's hardware threads (1 when unknown).
+fn host_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -977,35 +873,8 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn threaded_matches_hw_forward_exactly() {
-        let design = tc1_design();
-        let imgs = batch(&design, 4, 1);
-        let engine = ThreadedEngine::new(&design);
-        let res = engine.run(&imgs);
-        assert_eq!(res.outputs.len(), 4);
-        for (img, out) in imgs.iter().zip(res.outputs.iter()) {
-            assert_eq!(out, &design.hw_forward(img), "engine must be bit-exact");
-        }
-    }
-
-    #[test]
-    fn threaded_preserves_input_order() {
-        let design = tc1_design();
-        let imgs = batch(&design, 8, 2);
-        let engine = ThreadedEngine::new(&design);
-        let res = engine.run(&imgs);
-        let seq = engine.run_sequential(&imgs);
-        assert_eq!(res.outputs, seq.outputs);
-    }
-
-    #[test]
-    fn completion_times_monotone() {
-        let design = tc1_design();
-        let imgs = batch(&design, 6, 3);
-        let res = ThreadedEngine::new(&design).run(&imgs);
-        assert!(res.completion_times.windows(2).all(|w| w[0] <= w[1]));
-        assert!(*res.completion_times.last().unwrap() <= res.total);
+    fn uniform(engine: &ThreadedEngine) -> Schedule {
+        Schedule::Fixed(ReplicationPlan::uniform(engine.stage_count()))
     }
 
     #[test]
@@ -1035,7 +904,7 @@ mod tests {
             vec!["conv1", "pool1", "conv2", "flatten", "fc1", "logsoftmax1"]
         );
         let imgs = batch(&design, 3, 9);
-        let res = engine.run(&imgs);
+        let (res, _) = engine.run(&imgs, &uniform(&engine));
         for (img, out) in imgs.iter().zip(res.outputs.iter()) {
             assert_eq!(out, &design.hw_forward(img), "engine must be bit-exact");
         }
@@ -1054,7 +923,7 @@ mod tests {
             vec![3, 1, 1, 1, 1],
         ] {
             let plan = ReplicationPlan { factors };
-            let (res, profile) = engine.run_with_plan(&imgs, &plan);
+            let (res, profile) = engine.run(&imgs, &Schedule::Fixed(plan.clone()));
             assert_eq!(res.outputs, seq.outputs, "plan {:?}", plan.factors);
             // every image passed through every stage exactly once
             assert!(profile.stages.iter().all(|s| s.images == 11));
@@ -1071,7 +940,7 @@ mod tests {
         let plan = ReplicationPlan {
             factors: vec![4, 4, 4, 4, 4],
         };
-        let (res, _) = engine.run_with_plan(&imgs, &plan);
+        let (res, _) = engine.run(&imgs, &Schedule::Fixed(plan));
         assert_eq!(res.outputs, engine.run_sequential(&imgs).outputs);
     }
 
@@ -1080,8 +949,7 @@ mod tests {
         let design = tc1_design();
         let imgs = batch(&design, 6, 6);
         let engine = ThreadedEngine::new(&design);
-        let (_, profile) =
-            engine.run_with_plan(&imgs, &ReplicationPlan::uniform(engine.stage_count()));
+        let (_, profile) = engine.run(&imgs, &uniform(&engine));
         assert_eq!(profile.stages.len(), 5);
         assert_eq!(profile.batch, 6);
         assert!(profile.total_ns > 0);
@@ -1115,7 +983,7 @@ mod tests {
         let imgs = batch(&design, 6, 40);
         let engine = ThreadedEngine::new(&design);
         let seq = engine.run_sequential(&imgs);
-        let (res, profile) = engine.run_pipelined_with_parallelism(&imgs, 1);
+        let (res, profile) = engine.run(&imgs, &Schedule::Balanced { threads: 1 });
         assert_eq!(res.outputs, seq.outputs, "fallback must stay bit-exact");
         // the sequential fallback's profile: one worker per stage, every
         // image through every stage, and no channel waits (nothing blocks)
@@ -1127,20 +995,20 @@ mod tests {
             .all(|s| s.mean_queue_wait_ns == 0 && s.mean_send_wait_ns == 0));
         assert_eq!(profile.batch, 6);
         // with threads to spare the pipelined path still works
-        let (multi, _) = engine.run_pipelined_with_parallelism(&imgs, 4);
+        let (multi, _) = engine.run(&imgs, &Schedule::Balanced { threads: 4 });
         assert_eq!(multi.outputs, seq.outputs);
     }
 
     #[test]
     fn balanced_plan_targets_bottleneck() {
-        // stage 1 is 4x slower: extra workers must go there first
-        let plan = ReplicationPlan::balanced(&[100, 400, 100], 4, 3, 4);
+        // stage 1 is 4x slower: extra workers (3 on 4 threads) go there
+        let plan = ReplicationPlan::balanced(&[100, 400, 100], 4);
         assert_eq!(plan.factors, vec![1, 4, 1]);
-        // cap respected even with surplus budget
-        let capped = ReplicationPlan::balanced(&[100, 400, 100], 4, 8, 2);
-        assert_eq!(capped.factors[1], 2);
+        // cap respected even with surplus budget (8 extra on 16 threads)
+        let capped = ReplicationPlan::balanced(&[100, 1000, 100], 16);
+        assert_eq!(capped.factors, vec![1, MAX_REPLICATION, 1]);
         // equal stages: workers spread rather than stack
-        let even = ReplicationPlan::balanced(&[100, 100], 4, 2, 4);
+        let even = ReplicationPlan::balanced(&[100, 100], 3);
         assert_eq!(even.workers(), 4);
         // uniform is all ones
         assert_eq!(ReplicationPlan::uniform(3).factors, vec![1, 1, 1]);
@@ -1150,13 +1018,9 @@ mod tests {
     fn balanced_plan_refuses_replication_on_one_thread() {
         // the documented lose-to-sequential case: a 1-thread host must
         // never get a plan that spawns overlapping workers
-        let plan = ReplicationPlan::balanced(&[100, 400, 100], 1, 3, 4);
+        let plan = ReplicationPlan::balanced(&[100, 400, 100], 1);
         assert_eq!(plan.factors, vec![1, 1, 1]);
-        assert_eq!(ReplicationPlan::balanced(&[900], 0, 8, 4).factors, vec![1]);
-        // and the adaptive constructor refuses outright
-        assert!(ReplicationPlan::adaptive(&[100, 400, 100], 1, 4).is_none());
-        let adaptive = ReplicationPlan::adaptive(&[100, 400, 100], 4, 4).unwrap();
-        assert_eq!(adaptive.factors, vec![1, 4, 1]);
+        assert_eq!(ReplicationPlan::balanced(&[900], 0).factors, vec![1]);
     }
 
     #[test]
@@ -1165,23 +1029,28 @@ mod tests {
         let imgs = batch(&design, 10, 41);
         let engine = ThreadedEngine::new(&design);
         let seq = engine.run_sequential(&imgs);
+        let replication = |p: &PipelineProfile| -> Vec<usize> {
+            p.stages.iter().map(|s| s.replication).collect()
+        };
         // 1-thread host: sequential fallback, uniform plan, bit-identical
-        let (res1, prof1, plan1) = engine.run_adaptive_with_parallelism(&imgs, 1);
+        let (res1, prof1) = engine.run(&imgs, &Schedule::Adaptive { threads: 1 });
         assert_eq!(res1.outputs, seq.outputs);
-        assert_eq!(plan1, ReplicationPlan::uniform(engine.stage_count()));
+        assert_eq!(replication(&prof1), vec![1; engine.stage_count()]);
         assert!(prof1.stages.iter().all(|s| s.images == 10));
         // multi-thread host: warmup + replanned pipelined chunks, still
         // bit-identical and every image accounted for exactly once
-        let (res4, prof4, plan4) = engine.run_adaptive_with_parallelism(&imgs, 4);
+        let (res4, prof4) = engine.run(&imgs, &Schedule::Adaptive { threads: 4 });
         assert_eq!(res4.outputs, seq.outputs);
-        assert!(plan4.factors.iter().all(|&f| (1..=4).contains(&f)));
+        assert!(replication(&prof4)
+            .iter()
+            .all(|f| (1..=MAX_REPLICATION).contains(f)));
         assert!(prof4.stages.iter().all(|s| s.images == 10));
         assert!(res4.completion_times.windows(2).all(|w| w[0] <= w[1]));
         assert!(*res4.completion_times.last().unwrap() <= res4.total);
         // a tiny batch never outruns its warmup: sequential fallback
-        let (res_tiny, _, plan_tiny) = engine.run_adaptive_with_parallelism(&imgs[..2], 4);
+        let (res_tiny, prof_tiny) = engine.run(&imgs[..2], &Schedule::Adaptive { threads: 4 });
         assert_eq!(res_tiny.outputs, seq.outputs[..2]);
-        assert_eq!(plan_tiny, ReplicationPlan::uniform(engine.stage_count()));
+        assert_eq!(replication(&prof_tiny), vec![1; engine.stage_count()]);
     }
 
     #[test]
@@ -1189,21 +1058,25 @@ mod tests {
         let design = tc1_design();
         let imgs = batch(&design, 8, 42);
         let engine = ThreadedEngine::new(&design);
-        let live = engine.live_metrics();
-        let engine = engine.with_live(live.clone());
-        let (_, profile) =
-            engine.run_with_plan(&imgs, &ReplicationPlan::uniform(engine.stage_count()));
-        for (s, sp) in profile.stages.iter().enumerate() {
-            let c = live.cell(s).counters();
-            assert_eq!(c.items, sp.images, "{}", sp.name);
-            assert_eq!(c.service, sp.service_total_ns, "{}", sp.name);
-            assert_eq!(c.queue_wait, sp.queue_wait_total_ns, "{}", sp.name);
-            assert_eq!(c.send_wait, sp.send_wait_total_ns, "{}", sp.name);
-            // the cell histogram carries the same measurements
-            let stats = live.cell(s).interval_stats();
-            assert_eq!(stats.count, sp.images);
-            assert_eq!(stats.total_ns, sp.service_total_ns);
-            assert_eq!(stats.max_ns, sp.max_interval_ns);
+        // the balanced planning pre-pass runs with the cells detached, so
+        // they count each image of the batch exactly once there too
+        for schedule in [uniform(&engine), Schedule::Balanced { threads: 4 }] {
+            let live = engine.live_metrics();
+            let engine = ThreadedEngine::new(&design).with_live(live.clone());
+            let (_, profile) = engine.run(&imgs, &schedule);
+            for (s, sp) in profile.stages.iter().enumerate() {
+                let c = live.cell(s).counters();
+                assert_eq!(c.items, sp.images, "{}", sp.name);
+                assert_eq!(c.items, 8, "{}", sp.name);
+                assert_eq!(c.service, sp.service_total_ns, "{}", sp.name);
+                assert_eq!(c.queue_wait, sp.queue_wait_total_ns, "{}", sp.name);
+                assert_eq!(c.send_wait, sp.send_wait_total_ns, "{}", sp.name);
+                // the cell histogram carries the same measurements
+                let stats = live.cell(s).interval_stats();
+                assert_eq!(stats.count, sp.images);
+                assert_eq!(stats.total_ns, sp.service_total_ns);
+                assert_eq!(stats.max_ns, sp.max_interval_ns);
+            }
         }
     }
 
@@ -1216,7 +1089,7 @@ mod tests {
             engine.stage_names(),
             vec!["conv1", "conv2", "scaleshift1", "add4", "flatten", "fc1"]
         );
-        let res = engine.run(&imgs);
+        let (res, _) = engine.run(&imgs, &uniform(&engine));
         for (img, out) in imgs.iter().zip(res.outputs.iter()) {
             assert_eq!(out, &design.hw_forward(img), "engine must be bit-exact");
         }
@@ -1232,7 +1105,7 @@ mod tests {
         let seq = engine.run_sequential(&imgs);
         for factors in [vec![1, 1, 1, 1, 1, 1], vec![2, 3, 1, 2, 1, 2]] {
             let plan = ReplicationPlan { factors };
-            let (res, profile) = engine.run_with_plan(&imgs, &plan);
+            let (res, profile) = engine.run(&imgs, &Schedule::Fixed(plan.clone()));
             assert_eq!(res.outputs, seq.outputs, "plan {:?}", plan.factors);
             assert!(profile.stages.iter().all(|s| s.images == 9));
         }
@@ -1253,15 +1126,5 @@ mod tests {
         let chain = ThreadedEngine::new(&tc1_design());
         assert!(chain.plans.iter().all(|p| p.keep.is_empty()));
         assert!(chain.plans.iter().all(|p| p.in_slots == vec![0]));
-    }
-
-    #[test]
-    fn profile_stages_measures_every_stage() {
-        let design = tc1_design();
-        let imgs = batch(&design, 3, 8);
-        let engine = ThreadedEngine::new(&design);
-        let stats = engine.profile_stages(&imgs);
-        assert_eq!(stats.len(), engine.stage_count());
-        assert!(stats.iter().all(|s| s.count == 3));
     }
 }

@@ -27,22 +27,29 @@
 //! | Flight-recorder analysis: drift & run reports | [`observe`] |
 //! | Static design verifier (deadlock, buffers, rates, replication) | [`check`] |
 //!
-//! ## Two engines, one graph
+//! ## Three engines, one graph
 //!
-//! The same [`graph::NetworkDesign`] drives two executions:
+//! The same [`graph::NetworkDesign`] drives three executions, all
+//! bit-identical (same [`kernel`] numerics):
 //!
-//! 1. [`sim::Simulator`] — a cycle-level model: every port moves at most one
-//!    32-bit value per 100 MHz cycle, every compute core initiates at its
-//!    Eq. 4 interval and carries its HLS pipeline depth, every FIFO applies
-//!    backpressure. This produces Fig. 6 (mean time per image vs batch
-//!    size) and the latency/throughput columns of Table II. Crucially it is
-//!    also *functionally exact*: the values it computes use the hardware
-//!    summation orders (tree adders, interleaved accumulators).
-//! 2. [`exec::ThreadedEngine`] — one OS thread per layer connected by
-//!    bounded channels, the same dataflow graph at image granularity. It
-//!    computes bit-identical outputs (same [`kernel`] numerics) and
-//!    demonstrates the high-level pipeline as real wall-clock speedup on
-//!    batches.
+//! 1. [`sim::Simulator`] with the dense sweep
+//!    ([`sim::SimConfig::reference_mode`]) — a cycle-level model: every
+//!    port moves at most one 32-bit value per 100 MHz cycle, every compute
+//!    core initiates at its Eq. 4 interval and carries its HLS pipeline
+//!    depth, every FIFO applies backpressure. This produces Fig. 6 (mean
+//!    time per image vs batch size) and the latency/throughput columns of
+//!    Table II. Crucially it is also *functionally exact*: the values it
+//!    computes use the hardware summation orders (tree adders, interleaved
+//!    accumulators).
+//! 2. [`sim::Simulator`] with the event scheduler (the default) — the same
+//!    cycle-accurate semantics, skipping cycles in which nothing can move;
+//!    its results equal the dense sweep's exactly.
+//! 3. [`exec::ThreadedEngine`] — OS threads per layer connected by bounded
+//!    channels, the same dataflow graph at image granularity. It has one
+//!    entry point, [`exec::ThreadedEngine::run`], driven by an
+//!    [`exec::Schedule`] (sequential, a fixed replication plan, the
+//!    balanced planner or the adaptive planner), and demonstrates the
+//!    high-level pipeline as real wall-clock speedup on batches.
 
 pub mod check;
 pub mod codegen;
@@ -68,7 +75,9 @@ pub use check::{
     check_design, check_drift, check_network, check_replication, CheckReport, DesignDiagnostic,
     RuleId, Severity,
 };
-pub use exec::{ExecResult, PipelineProfile, ReplicationPlan, StageProfile, ThreadedEngine};
+pub use exec::{
+    ExecResult, PipelineProfile, ReplicationPlan, Schedule, StageProfile, ThreadedEngine,
+};
 pub use graph::{
     build_graph_design, DesignConfig, EdgeInfo, GraphBuilder, LayerPorts, NetworkDesign, NodeRef,
     PortConfig, StageInput, StageNode, Tap,

@@ -507,13 +507,15 @@ pub struct SpawnedSampler {
 
 impl SpawnedSampler {
     /// Spawn a sampler over `live` ticking every `tick` of wall-clock
-    /// time; timestamps are nanoseconds since spawn.
+    /// time; timestamps are nanoseconds since spawn. The baseline is
+    /// taken before the thread starts, so traffic recorded as soon as
+    /// `spawn` returns lands in the snapshots, not in the baseline.
     pub fn spawn(live: Arc<LiveMetrics>, tick: Duration) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
+        let start = Instant::now();
+        let mut sampler = Sampler::new(live);
         let handle = std::thread::spawn(move || {
-            let start = Instant::now();
-            let mut sampler = Sampler::new(live);
             while !stop2.load(Ordering::Relaxed) {
                 std::thread::sleep(tick);
                 sampler.sample(start.elapsed().as_nanos() as u64);
@@ -662,5 +664,22 @@ mod tests {
         let summed = sum_deltas(&snaps);
         assert_eq!(summed[0].1, live.cell(0).counters());
         assert!(snaps.windows(2).all(|w| w[0].at <= w[1].at));
+    }
+
+    #[test]
+    fn spawned_sampler_baseline_excludes_only_pre_spawn_traffic() {
+        let live = LiveMetrics::new(MetricUnit::Nanos, vec!["s0".to_string()]);
+        live.cell(0).add_items(3);
+        live.cell(0).add_service(700);
+        let before = live.cell(0).counters();
+        let sampler = SpawnedSampler::spawn(live.clone(), Duration::from_millis(1));
+        // recorded before the sampler thread can have taken any sample
+        live.cell(0).add_items(5);
+        live.cell(0).add_service(1000);
+        live.cell(0).add_queue_wait(40);
+        let snaps = sampler.finish();
+        let summed = sum_deltas(&snaps);
+        assert_eq!(summed[0].1, live.cell(0).counters().delta_since(&before));
+        assert_eq!(summed[0].1.items, 5);
     }
 }

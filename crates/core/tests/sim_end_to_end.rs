@@ -1,5 +1,6 @@
 //! End-to-end cycle-simulation tests of the paper's two test-case designs.
 
+use dfcnn_core::exec::{ReplicationPlan, Schedule, ThreadedEngine};
 use dfcnn_core::graph::{DesignConfig, NetworkDesign, PortConfig};
 use dfcnn_core::verify::{compare_outputs, verify_simulated};
 use dfcnn_datasets::{Generator, SyntheticCifar, SyntheticUsps};
@@ -119,7 +120,9 @@ fn threaded_engine_bit_identical_to_simulator() {
     let mut gen = SyntheticUsps::new(13);
     let images: Vec<_> = gen.generate(3).into_iter().map(|(x, _)| x).collect();
     let (sim, _) = design.instantiate(&images).run();
-    let exec = dfcnn_core::exec::ThreadedEngine::new(&design).run(&images);
+    let engine = ThreadedEngine::new(&design);
+    let plain = Schedule::Fixed(ReplicationPlan::uniform(engine.stage_count()));
+    let (exec, _) = engine.run(&images, &plain);
     for (s, e) in sim.outputs.iter().zip(exec.outputs.iter()) {
         assert_eq!(s.as_slice(), e.as_slice(), "engines disagree");
     }

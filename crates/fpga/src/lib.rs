@@ -20,13 +20,11 @@
 //!   the Microsoft baseline \[28\] for reference).
 //! - [`resources`]: resource vectors and the per-core cost model.
 //! - [`power`]: board-level power model for the GFLOPS/W column.
-//! - [`axi`]: AXI4-Stream beat/handshake types.
 //! - [`dma`]: bandwidth-limited DMA source/sink timing model.
 //! - [`host`]: the Microblaze/Axi-Timer measurement protocol (batch
 //!   staging, per-image timestamps, Fig. 6 statistics).
 //! - [`report`]: Table-I-style utilisation rendering.
 
-pub mod axi;
 pub mod device;
 pub mod dma;
 pub mod host;

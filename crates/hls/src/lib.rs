@@ -16,19 +16,16 @@
 //! 3. **Interleaved accumulators** to hide the ~11-cycle single-precision
 //!    add latency in FC layers (§IV-B) ([`accum`]).
 //!
-//! Operator latencies live in [`latency`]; HLS directives (`PIPELINE`,
-//! `UNROLL`, `ARRAY_PARTITION`) are typed in [`directive`]; whole loop-nest
-//! latency formulas in [`pipeline`].
+//! Operator latencies live in [`latency`]; whole loop-nest latency
+//! formulas in [`pipeline`].
 
 pub mod accum;
-pub mod directive;
 pub mod ii;
 pub mod latency;
 pub mod pipeline;
 pub mod reduce;
 
 pub use accum::InterleavedAccumulator;
-pub use directive::{ArrayPartition, PipelineDirective, Unroll};
 pub use ii::pipeline_ii;
 pub use latency::OpLatency;
 pub use pipeline::LoopNest;

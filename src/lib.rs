@@ -55,7 +55,7 @@ pub use dfcnn_tensor as tensor;
 pub mod prelude {
     pub use dfcnn_core::check::{check_design, CheckReport, RuleId, Severity};
     pub use dfcnn_core::dse;
-    pub use dfcnn_core::exec::ThreadedEngine;
+    pub use dfcnn_core::exec::{Schedule, ThreadedEngine};
     pub use dfcnn_core::graph::{
         DesignConfig, GraphBuilder, LayerPorts, NetworkDesign, PortConfig, Tap,
     };

@@ -4,6 +4,7 @@
 
 #![allow(dead_code)]
 
+use dfcnn::core::exec::ReplicationPlan;
 use dfcnn::core::graph::{LayerPorts, PortConfig};
 use dfcnn::prelude::*;
 use proptest::prelude::*;
@@ -270,4 +271,11 @@ pub fn random_ports(spec: &NetworkSpec, seed: u64) -> PortConfig {
         }
     }
     PortConfig { layers }
+}
+
+/// Outputs of the plain thread pipeline (one worker per stage).
+pub fn run_threaded(design: &NetworkDesign, images: &[Tensor3<f32>]) -> Vec<Tensor3<f32>> {
+    let engine = ThreadedEngine::new(design);
+    let plain = Schedule::Fixed(ReplicationPlan::uniform(engine.stage_count()));
+    engine.run(images, &plain).0.outputs
 }

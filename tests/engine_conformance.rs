@@ -11,12 +11,13 @@
 //!   [`check_engine_conformance`]),
 //! * identical trace event streams, and
 //! * both bit-identical to the threaded `exec` engine's outputs, closing
-//!   the triangle between the three execution paths.
+//!   the triangle between the three execution paths, and
+//! * every threaded-engine [`Schedule`] bit-identical to `hw_forward`.
 
 mod common;
 
-use common::{random_dag_design, random_ports, random_spec, residual_design};
-use dfcnn::core::exec::{ReplicationPlan, ThreadedEngine};
+use common::{random_dag_design, random_ports, random_spec, residual_design, run_threaded};
+use dfcnn::core::exec::{ReplicationPlan, MAX_REPLICATION};
 use dfcnn::core::graph::{DesignConfig, NetworkDesign, PortConfig};
 use dfcnn::core::verify::check_engine_conformance;
 use dfcnn::prelude::*;
@@ -35,8 +36,8 @@ fn assert_conformance(design: &NetworkDesign, images: &[Tensor3<f32>]) {
         "completions must be strictly ordered"
     );
     // both == threaded engine, bit for bit
-    let exec = ThreadedEngine::new(design).run(images);
-    for (i, (s, e)) in event.outputs.iter().zip(exec.outputs.iter()).enumerate() {
+    let exec = run_threaded(design, images);
+    for (i, (s, e)) in event.outputs.iter().zip(exec.iter()).enumerate() {
         assert_eq!(
             s.as_slice(),
             e.as_slice(),
@@ -117,7 +118,7 @@ fn test_case_1_replicated_matches_sequential() {
     let seq = engine.run_sequential(&images);
     for factors in [vec![2, 1, 3, 1, 2], vec![4, 4, 4, 4, 4]] {
         let plan = ReplicationPlan { factors };
-        let (res, profile) = engine.run_with_plan(&images, &plan);
+        let (res, profile) = engine.run(&images, &Schedule::Fixed(plan.clone()));
         assert_eq!(res.outputs, seq.outputs, "plan {:?}", plan.factors);
         assert!(profile
             .stages
@@ -142,6 +143,82 @@ fn test_case_2_replicated_matches_sequential() {
     let seq = engine.run_sequential(&images);
     let (res, _) = engine.run_pipelined(&images);
     assert_eq!(res.outputs, seq.outputs);
+}
+
+/// The schedule-conformance table: every [`Schedule`] on Paper Test
+/// Cases 1 and 2 and the residual block (the same graph as the in-crate
+/// `graph::fixtures::residual_graph`). Outputs must be bit-identical to
+/// `hw_forward` in input order, every stage must serve every image exactly
+/// once, completion times must be monotone, and the profile must report
+/// the replication the schedule ran with. The batches are deep enough for
+/// the adaptive runner's mid-batch replan on TC-1 and the residual block.
+#[test]
+fn every_schedule_conforms() {
+    let mut rng = ChaCha8Rng::seed_from_u64(56);
+    let tc1 = NetworkDesign::new(
+        &NetworkSpec::test_case_1().build(&mut rng),
+        PortConfig::paper_test_case_1(),
+        DesignConfig::default(),
+    )
+    .unwrap();
+    let tc2 = NetworkDesign::new(
+        &NetworkSpec::test_case_2().build(&mut rng),
+        PortConfig::paper_test_case_2(),
+        DesignConfig::default(),
+    )
+    .unwrap();
+    let residual = residual_design(DesignConfig::default());
+    for (name, design, images) in [
+        ("TC-1", &tc1, usps_images(13, 57)),
+        ("TC-2", &tc2, cifar_images(9, 58)),
+        ("residual", &residual, residual_images(14, 59)),
+    ] {
+        let engine = ThreadedEngine::new(design);
+        let n = engine.stage_count();
+        let expected: Vec<_> = images.iter().map(|img| design.hw_forward(img)).collect();
+        let skewed = ReplicationPlan {
+            factors: [2, 1, 3].into_iter().cycle().take(n).collect(),
+        };
+        // (schedule, the replication it must report; None = planner's pick)
+        let table = [
+            (Schedule::Sequential, Some(vec![1; n])),
+            (
+                Schedule::Fixed(ReplicationPlan::uniform(n)),
+                Some(vec![1; n]),
+            ),
+            (Schedule::Fixed(skewed.clone()), Some(skewed.factors)),
+            (Schedule::Balanced { threads: 1 }, Some(vec![1; n])),
+            (Schedule::Balanced { threads: 4 }, None),
+            (Schedule::Adaptive { threads: 1 }, Some(vec![1; n])),
+            (Schedule::Adaptive { threads: 4 }, None),
+        ];
+        for (schedule, replication) in table {
+            let row = format!("{name} {schedule:?}");
+            let (res, profile) = engine.run(&images, &schedule);
+            assert_eq!(res.outputs, expected, "{row}: outputs != hw_forward");
+            assert_eq!(profile.batch, images.len(), "{row}");
+            assert!(
+                profile
+                    .stages
+                    .iter()
+                    .all(|s| s.images == images.len() as u64),
+                "{row}: a stage missed or repeated an image"
+            );
+            assert!(
+                res.completion_times.windows(2).all(|w| w[0] <= w[1]),
+                "{row}: completion times not monotone"
+            );
+            assert!(*res.completion_times.last().unwrap() <= res.total, "{row}");
+            let got: Vec<usize> = profile.stages.iter().map(|s| s.replication).collect();
+            match replication {
+                Some(want) => assert_eq!(got, want, "{row}"),
+                None => assert!(
+                    got.iter().all(|f| (1..=MAX_REPLICATION).contains(f)),
+                    "{row}: {got:?}"
+                ),
+            }
+        }
+    }
 }
 
 /// LeNet-5 classifying **end to end on the fabric**: with
@@ -169,10 +246,10 @@ fn lenet5_classifies_end_to_end_on_the_fabric() {
         .collect();
     // sim (event + reference schedulers) == threaded engine, bit for bit
     let event = check_engine_conformance(&design, &images);
-    let exec = ThreadedEngine::new(&design).run(&images);
+    let exec = run_threaded(&design, &images);
     for (i, (img, (s, e))) in images
         .iter()
-        .zip(event.outputs.iter().zip(exec.outputs.iter()))
+        .zip(event.outputs.iter().zip(exec.iter()))
         .enumerate()
     {
         assert_eq!(s.as_slice(), e.as_slice(), "image {i}: sim != threaded");
@@ -455,7 +532,7 @@ proptest! {
         let mut frng = ChaCha8Rng::seed_from_u64(factor_seed);
         let factors: Vec<usize> = (0..depth).map(|_| frng.gen_range(1usize..=4)).collect();
         let plan = ReplicationPlan { factors };
-        let (res, profile) = engine.run_with_plan(&images, &plan);
+        let (res, profile) = engine.run(&images, &Schedule::Fixed(plan.clone()));
         prop_assert_eq!(&res.outputs, &seq.outputs, "plan {:?}", plan.factors);
         prop_assert!(profile.stages.iter().all(|s| s.images == batch as u64));
     }

@@ -185,7 +185,7 @@ fn threaded_engine_reconciles_with_its_report() {
     let engine = ThreadedEngine::new(&design);
     let live = engine.live_metrics();
     let engine = engine.with_live(live.clone());
-    let (res, profile, _plan) = engine.run_adaptive_with_parallelism(&images, 4);
+    let (res, profile) = engine.run(&images, &Schedule::Adaptive { threads: 4 });
     assert_eq!(res.outputs, seq_outputs, "adaptive run must stay bit-exact");
     let report = RunReport::from_profile(&profile);
     assert_eq!(report.schema_version, SCHEMA_VERSION);

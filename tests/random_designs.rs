@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{random_dag_design, random_ports, random_spec};
+use common::{random_dag_design, random_ports, random_spec, run_threaded};
 use dfcnn::core::graph::{DesignConfig, NetworkDesign, PortConfig};
 use dfcnn::core::verify;
 use dfcnn::tensor::NumericSpec;
@@ -47,8 +47,8 @@ proptest! {
         }
 
         // 2. threaded engine is bit-exact vs the simulator
-        let exec = dfcnn::core::exec::ThreadedEngine::new(&design).run(&images);
-        for (s, e) in sim.outputs.iter().zip(exec.outputs.iter()) {
+        let exec = run_threaded(&design, &images);
+        for (s, e) in sim.outputs.iter().zip(exec.iter()) {
             prop_assert_eq!(s.as_slice(), e.as_slice(), "sim != threaded engine");
         }
 
@@ -85,8 +85,8 @@ proptest! {
         }
 
         // 2. threaded engine is bit-exact vs the simulator
-        let exec = dfcnn::core::exec::ThreadedEngine::new(&design).run(&images);
-        for (s, e) in sim.outputs.iter().zip(exec.outputs.iter()) {
+        let exec = run_threaded(&design, &images);
+        for (s, e) in sim.outputs.iter().zip(exec.iter()) {
             prop_assert_eq!(s.as_slice(), e.as_slice(), "sim != threaded engine");
         }
 
@@ -136,8 +136,8 @@ proptest! {
         }
 
         // 2. threaded engine is bit-exact vs the simulator
-        let exec = dfcnn::core::exec::ThreadedEngine::new(&design).run(&images);
-        for (s, e) in sim.outputs.iter().zip(exec.outputs.iter()) {
+        let exec = run_threaded(&design, &images);
+        for (s, e) in sim.outputs.iter().zip(exec.iter()) {
             prop_assert_eq!(s.as_slice(), e.as_slice(), "sim != threaded engine");
         }
 

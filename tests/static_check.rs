@@ -250,7 +250,7 @@ fn bad_replication_plans_are_rejected_and_confirmed_by_the_engine() {
         "{diags:?}"
     );
     let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.run_with_plan(&images, &short)
+        engine.run(&images, &Schedule::Fixed(short.clone()))
     }));
     assert!(refused.is_err(), "engine must refuse a short plan");
 
@@ -266,14 +266,14 @@ fn bad_replication_plans_are_rejected_and_confirmed_by_the_engine() {
         "{diags:?}"
     );
     let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.run_with_plan(&images, &zero)
+        engine.run(&images, &Schedule::Fixed(zero.clone()))
     }));
     assert!(refused.is_err(), "engine must refuse a zero factor");
 
     // a legal plan passes both the checker and the engine
     let good = ReplicationPlan::uniform(engine.stage_count());
     assert!(check_replication(&good, engine.stage_count()).is_empty());
-    let (res, _) = engine.run_with_plan(&images, &good);
+    let (res, _) = engine.run(&images, &Schedule::Fixed(good));
     assert_eq!(res.outputs.len(), 2);
 }
 
