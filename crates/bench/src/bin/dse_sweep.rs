@@ -13,14 +13,13 @@
 //!    steady-state interval is committed next to its Eq. 4 prediction and
 //!    the [`DriftReport`] bound is asserted.
 //!
-//! Writes `results/dse_sweep.json` and the committed `BENCH_dse.json`
-//! provenance record.
+//! Writes the committed `BENCH_dse.json` provenance record.
 //!
 //! ```text
 //! cargo run -p dfcnn-bench --release --bin dse_sweep
 //! ```
 
-use dfcnn_bench::write_json;
+use dfcnn_bench::write_bench_record;
 use dfcnn_core::dse::{explore_graph, explore_graph_serial};
 use dfcnn_core::graph::{build_graph_design, DesignConfig};
 use dfcnn_core::observe::DriftReport;
@@ -143,12 +142,5 @@ fn main() {
         batch: BATCH,
         joins,
     };
-    write_json("dse_sweep", &out);
-    match std::fs::write(
-        "BENCH_dse.json",
-        serde_json::to_string_pretty(&out).unwrap(),
-    ) {
-        Ok(()) => println!("\n[written BENCH_dse.json]"),
-        Err(e) => eprintln!("[warn] could not write BENCH_dse.json: {e}"),
-    }
+    write_bench_record("dse", &out);
 }

@@ -13,14 +13,13 @@
 //!    recorder must stay cheap enough to leave on in every perf
 //!    experiment (EXPERIMENTS.md pins the budget on the `sched` bench).
 //!
-//! Writes `results/flight_recorder.json` and the committed
-//! `BENCH_flight_recorder.json` provenance record.
+//! Writes the committed `BENCH_flight_recorder.json` provenance record.
 //!
 //! ```text
 //! cargo run -p dfcnn-bench --release --bin flight_recorder
 //! ```
 
-use dfcnn_bench::{quick_test_case_1, quick_test_case_2, write_json, TestCase};
+use dfcnn_bench::{quick_test_case_1, quick_test_case_2, write_bench_record, TestCase};
 use dfcnn_core::observe::{CoreDrift, DriftReport};
 use serde::Serialize;
 
@@ -108,14 +107,7 @@ fn main() {
         rows.push(row);
     }
 
-    write_json("flight_recorder", &rows);
-    match std::fs::write(
-        "BENCH_flight_recorder.json",
-        serde_json::to_string_pretty(&rows).unwrap(),
-    ) {
-        Ok(()) => println!("[written BENCH_flight_recorder.json]"),
-        Err(e) => eprintln!("[warn] could not write BENCH_flight_recorder.json: {e}"),
-    }
+    write_bench_record("flight_recorder", &rows);
 
     for row in &rows {
         assert!(

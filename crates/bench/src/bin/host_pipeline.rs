@@ -15,9 +15,8 @@
 //!   single-thread host),
 //!
 //! prints the per-stage [`dfcnn_core::exec::PipelineProfile`], checks all
-//! three paths are bit-identical, and writes both
-//! `results/host_pipeline.json` and `BENCH_host_pipeline.json` (the CI
-//! artifact). On hosts with ≥ 2 hardware threads it asserts the best
+//! three paths are bit-identical, and writes `BENCH_host_pipeline.json`
+//! (the CI artifact). On hosts with ≥ 2 hardware threads it asserts the best
 //! pipelined run reaches ≥ 1.5× sequential throughput on Test Case 2 at a
 //! batch ≥ 2× the pipeline depth.
 //!
@@ -25,7 +24,7 @@
 //! cargo run -p dfcnn-bench --release --bin host_pipeline
 //! ```
 
-use dfcnn_bench::{quick_test_case_1, quick_test_case_2, write_json, TestCase};
+use dfcnn_bench::{quick_test_case_1, quick_test_case_2, write_bench_record, TestCase};
 use dfcnn_core::exec::{PipelineProfile, ReplicationPlan, Schedule, ThreadedEngine};
 use dfcnn_tensor::Tensor3;
 use serde::Serialize;
@@ -152,17 +151,10 @@ fn main() {
         rows.push(row);
     }
 
-    write_json("host_pipeline", &rows);
     // the CI artifact lives in the working directory and is committed as
     // the provenance record (exempted from the BENCH_* .gitignore
     // pattern); host_threads/cpu say what machine produced the numbers
-    match std::fs::write(
-        "BENCH_host_pipeline.json",
-        serde_json::to_string_pretty(&rows).unwrap(),
-    ) {
-        Ok(()) => println!("[written BENCH_host_pipeline.json]"),
-        Err(e) => eprintln!("[warn] could not write BENCH_host_pipeline.json: {e}"),
-    }
+    write_bench_record("host_pipeline", &rows);
 
     let tc2 = rows.last().expect("TC-2 row");
     let best = tc2.pipelined_speedup.max(tc2.replicated_speedup);

@@ -12,8 +12,7 @@
 //!
 //! Then the accuracy sweep: both test cases trained once in f32, then
 //! classified through every supported fixed spec's quantised datapath.
-//! Results go to `results/numeric_kernels.json` and `BENCH_kernels.json` (the
-//! committed CI artifact). In release builds on the packed conv kernel
+//! Results go to `BENCH_kernels.json` (the committed CI artifact). In release builds on the packed conv kernel
 //! the fixed-point SIMD path must hold a ≥ 1.2× margin over the scalar
 //! loop — the CI smoke contract for the vectorised kernels.
 //!
@@ -21,7 +20,7 @@
 //! cargo run -p dfcnn-bench --release --bin numeric_kernels
 //! ```
 
-use dfcnn_bench::{write_json, SEED};
+use dfcnn_bench::{write_bench_record, SEED};
 use dfcnn_core::graph::{DesignConfig, NetworkDesign, PortConfig};
 use dfcnn_core::kernel::{conv_window_packed, conv_window_packed_scalar, PackedFilters};
 use dfcnn_datasets::{Dataset, Generator, SyntheticCifar, SyntheticUsps};
@@ -456,14 +455,7 @@ fn main() {
         forward,
         frac_sweep: frac_rows,
     };
-    write_json("numeric_kernels", &record);
-    match std::fs::write(
-        "BENCH_kernels.json",
-        serde_json::to_string_pretty(&record).unwrap(),
-    ) {
-        Ok(()) => println!("[written BENCH_kernels.json]"),
-        Err(e) => eprintln!("[warn] could not write BENCH_kernels.json: {e}"),
-    }
+    write_bench_record("kernels", &record);
 
     // CI smoke contract: the fixed-point dot fast path must beat the
     // forced-scalar reduction on the packed conv kernel in release builds

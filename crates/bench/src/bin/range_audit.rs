@@ -9,9 +9,8 @@
 //!
 //! Every analysis is cross-checked dynamically: the design's test images
 //! stream through the host pipeline and each stage's observed min/max
-//! must lie inside the static interval. Results go to
-//! `results/range_audit.json` and `BENCH_range.json` (the committed CI
-//! artifact). In release builds two contracts are enforced:
+//! must lie inside the static interval. Results go to `BENCH_range.json`
+//! (the committed CI artifact). In release builds two contracts are enforced:
 //!
 //! * **soundness** — observed ⊆ static on every (design, format) pair,
 //!   including formats the checker rejects (saturating kernels clamp
@@ -24,7 +23,7 @@
 //! cargo run -p dfcnn-bench --release --bin range_audit
 //! ```
 
-use dfcnn_bench::{build_test_case_1, build_test_case_2, write_json, SEED};
+use dfcnn_bench::{build_test_case_1, build_test_case_2, write_bench_record, SEED};
 use dfcnn_core::check::{check_design, RuleId, Severity};
 use dfcnn_core::graph::{build_graph_design, DesignConfig, NetworkDesign, PortConfig};
 use dfcnn_core::range::{analyze, observe_ranges, recommend_frac, SCHEMA_VERSION};
@@ -255,14 +254,7 @@ fn main() {
         rows,
         recommendations,
     };
-    write_json("range_audit", &record);
-    match std::fs::write(
-        "BENCH_range.json",
-        serde_json::to_string_pretty(&record).unwrap(),
-    ) {
-        Ok(()) => println!("[written BENCH_range.json]"),
-        Err(e) => eprintln!("[warn] could not write BENCH_range.json: {e}"),
-    }
+    write_bench_record("range", &record);
 
     // CI smoke contracts (release builds only): every observed range must
     // stay inside its static interval, and the measured q8f6 collapse

@@ -17,15 +17,15 @@
 //!   host it must fall back to the sequential path (uniform plan,
 //!   bit-identical outputs) rather than lose to it.
 //!
-//! Writes `results/telemetry.json`, the streaming artifacts
-//! (`results/telemetry_snapshots.jsonl`, `results/telemetry_prometheus.txt`)
-//! and the committed CI record `BENCH_telemetry.json`.
+//! Writes the streaming artifacts (`results/telemetry_snapshots.jsonl`,
+//! `results/telemetry_prometheus.txt`) and the committed CI record
+//! `BENCH_telemetry.json`.
 //!
 //! ```text
 //! cargo run -p dfcnn-bench --release --bin telemetry_bench
 //! ```
 
-use dfcnn_bench::{quick_test_case_1, quick_test_case_2, write_json, TestCase};
+use dfcnn_bench::{quick_test_case_1, quick_test_case_2, write_bench_record, TestCase};
 use dfcnn_core::exec::{ReplicationPlan, Schedule, ThreadedEngine};
 use dfcnn_core::observe::live::{snapshots_to_jsonl, MetricsSnapshot, Sampler};
 use dfcnn_tensor::Tensor3;
@@ -275,14 +275,7 @@ fn main() {
         overhead,
         adaptive,
     };
-    write_json("telemetry", &record);
-    match std::fs::write(
-        "BENCH_telemetry.json",
-        serde_json::to_string_pretty(&record).unwrap(),
-    ) {
-        Ok(()) => println!("[written BENCH_telemetry.json]"),
-        Err(e) => eprintln!("[warn] could not write BENCH_telemetry.json: {e}"),
-    }
+    write_bench_record("telemetry", &record);
 
     // --- CI assertions ------------------------------------------------
     if release {

@@ -25,7 +25,8 @@
 //! | `telemetry_bench` | live-telemetry overhead (≤ 5% release gate) + adaptive vs static replication |
 //!
 //! All binaries print human-readable tables and write JSON records under
-//! `results/`.
+//! `results/`; the benchmark records CI uploads go to one committed
+//! `BENCH_<name>.json` each instead ([`write_bench_record`]).
 
 use dfcnn_core::graph::{DesignConfig, NetworkDesign, PortConfig};
 use dfcnn_datasets::{Dataset, Generator, SyntheticCifar, SyntheticUsps};
@@ -236,13 +237,22 @@ pub fn fig6_sweep(tc: &TestCase, batches: &[usize]) -> Vec<(usize, f64)> {
 /// failures are printed, not fatal — the console table is the primary
 /// output).
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    let path = dir.join(format!("{name}.json"));
-    let res = std::fs::create_dir_all(dir)
-        .and_then(|_| std::fs::write(&path, serde_json::to_string_pretty(value).unwrap()));
-    match res {
-        Ok(()) => println!("[written {}]", path.display()),
-        Err(e) => eprintln!("[warn] could not write {}: {e}", path.display()),
+    // a failure here surfaces as the write's warning below
+    let _ = std::fs::create_dir_all("results");
+    write_pretty(&format!("results/{name}.json"), value);
+}
+
+/// Write a committed benchmark record to `BENCH_<name>.json` in the
+/// working directory — the one copy CI uploads and the repository keeps
+/// (whitelisted in `.gitignore`). Best effort, like [`write_json`].
+pub fn write_bench_record<T: Serialize>(name: &str, value: &T) {
+    write_pretty(&format!("BENCH_{name}.json"), value);
+}
+
+fn write_pretty<T: Serialize>(path: &str, value: &T) {
+    match std::fs::write(path, serde_json::to_string_pretty(value).unwrap()) {
+        Ok(()) => println!("[written {path}]"),
+        Err(e) => eprintln!("[warn] could not write {path}: {e}"),
     }
 }
 

@@ -492,6 +492,45 @@ impl<E: Numeric> ConvArena<E> {
             outvals: vec![E::zero(); conv.out_maps()],
         }
     }
+
+    /// Output feature maps per window (`OUT_FM`).
+    pub(crate) fn outputs(&self) -> usize {
+        self.outvals.len()
+    }
+
+    /// One window in the `f32` stream transport, as the cycle actor sees
+    /// it: quantise `window` (in [`crate::sst::WindowEngine`] layout), then
+    /// the same per-position steps as [`conv_forward_hw_into`].
+    pub(crate) fn window_into(
+        &mut self,
+        window: &[f32],
+        activation: Activation,
+        in_ports: usize,
+        out: &mut [f32],
+    ) {
+        for (q, &v) in self.window.iter_mut().zip(window) {
+            *q = E::from_f32(v);
+        }
+        self.compute_window(activation, in_ports, out);
+    }
+
+    /// Run the packed kernel on the quantised window buffer and dequantise
+    /// its `OUT_FM` results into `out`.
+    #[inline]
+    fn compute_window(&mut self, activation: Activation, in_ports: usize, out: &mut [f32]) {
+        conv_window_packed(
+            &mut self.outvals,
+            &self.window,
+            &self.packed,
+            &self.bias,
+            activation,
+            in_ports,
+            &mut self.scratch,
+        );
+        for (d, &v) in out.iter_mut().zip(&self.outvals) {
+            *d = v.to_f32();
+        }
+    }
 }
 
 /// Whole-image conv layer forward pass in hardware order, allocation-free:
@@ -536,20 +575,9 @@ pub fn conv_forward_hw_into<E: Numeric>(
                 }
             }
         }
-        conv_window_packed(
-            &mut arena.outvals,
-            &arena.window,
-            &arena.packed,
-            &arena.bias,
-            conv.activation(),
-            in_ports,
-            &mut arena.scratch,
-        );
         let (oy, ox) = (pos / ow, pos % ow);
         let dst = &mut out.as_mut_slice()[(oy * ow + ox) * k_count..(oy * ow + ox + 1) * k_count];
-        for (d, &v) in dst.iter_mut().zip(&arena.outvals) {
-            *d = v.to_f32();
-        }
+        arena.compute_window(conv.activation(), in_ports, dst);
     }
 }
 
@@ -669,6 +697,11 @@ impl<E: Numeric> LogSoftmaxArena<E> {
             exps: vec![0.0f32; classes],
             _elem: core::marker::PhantomData,
         }
+    }
+
+    /// Number of classes the arena is sized for.
+    pub fn classes(&self) -> usize {
+        self.exps.len()
     }
 }
 

@@ -12,8 +12,7 @@
 //! | FIFO channels between filters and cores | [`stream`] |
 //! | SST *memory structure* (filter chains + window registers, full buffering) | [`sst`] |
 //! | FM interleaving over ports, demux core, widened-filter adapter | [`port`] |
-//! | Convolution / sub-sampling / FC compute cores (Algorithm 1, Eq. 4) | [`layer`] |
-//! | One definition per layer kind (validation, II, compute, actor, HLS, cost) | [`model`] |
+//! | One definition per layer kind (validation, Eq. 4 II, compute, cycle actor, HLS, cost); conv/pool share one windowed compute core, FC/log-softmax one accumulate-and-drain core (Algorithm 1, §IV-B) | [`model`] |
 //! | Hardware-order numerics (tree adder, interleaved accumulators) | [`kernel`] |
 //! | DMA source & score sink (the §V-A test harness) | [`endpoints`] |
 //! | Network construction, port-width cases, FIFO sizing (§IV-C) | [`graph`] |
@@ -59,7 +58,6 @@ pub mod exec;
 pub mod flow;
 pub mod graph;
 pub mod kernel;
-pub mod layer;
 pub mod model;
 pub mod multi;
 pub mod observe;

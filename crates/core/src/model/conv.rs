@@ -1,14 +1,17 @@
 //! The convolutional layer kind (§IV-A, Algorithm 1).
 
+use super::window::{WindowCompute, WindowCore};
 use super::{CoreModel, CorePlan, LineBufferSpec, StageSpec, StageWorker, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
 use crate::kernel::{conv_forward_hw_into, ConvArena};
-use crate::layer::ConvCore;
 use crate::sim::Actor;
 use crate::sst::full_buffer_bound_per_port;
 use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
+use dfcnn_hls::latency::OpLatency;
+use dfcnn_hls::pipeline::LoopNest;
+use dfcnn_nn::act::Activation;
 use dfcnn_nn::layer::{Conv2d, Layer};
 use dfcnn_tensor::{with_numeric, Numeric, Tensor3};
 use std::fmt::Write as _;
@@ -32,6 +35,48 @@ pub(crate) fn windowed_interval(core: &CoreInfo) -> u64 {
     let initiations = core.positions * p.ii as u64;
     let out_serial = core.positions * (p.out_fm / p.out_ports) as u64;
     per_port_in.max(initiations).max(out_serial)
+}
+
+/// The conv per-window compute (Algorithm 1's body): the host stage's
+/// [`ConvArena`] quantises the window, runs the packed hardware-order
+/// kernel and dequantises (every conversion is the identity for
+/// `E = f32`).
+struct ConvWindow<E: Numeric> {
+    arena: ConvArena<E>,
+    activation: Activation,
+    in_ports: usize,
+}
+
+impl<E: Numeric> WindowCompute for ConvWindow<E> {
+    fn outputs(&self) -> usize {
+        self.arena.outputs()
+    }
+
+    fn compute(&mut self, window: &[f32], out: &mut [f32]) {
+        self.arena
+            .window_into(window, self.activation, self.in_ports, out);
+    }
+}
+
+/// The conv cycle actor: the shared windowed core running [`ConvWindow`]
+/// at the Eq. 4 interval `ii`, with the conv body's pipeline depth.
+fn conv_core<E: Numeric>(
+    name: String,
+    conv: &Conv2d,
+    in_chs: Vec<ChannelId>,
+    out_chs: Vec<ChannelId>,
+    ii: usize,
+    ops: &OpLatency,
+) -> WindowCore<ConvWindow<E>> {
+    let geo = *conv.geometry();
+    let in_ports = in_chs.len();
+    let kernel = ConvWindow {
+        arena: ConvArena::new(conv, in_ports),
+        activation: conv.activation(),
+        in_ports,
+    };
+    let depth = LoopNest::conv_body_depth(in_ports * geo.kh * geo.kw, ops) as u64;
+    WindowCore::new(name, geo, in_chs, out_chs, ii, depth, kernel)
 }
 
 struct ConvWorker<E: Numeric> {
@@ -150,7 +195,7 @@ impl CoreModel for ConvModel {
         let idx = core.layer_index.expect("conv core has a layer");
         let l = conv_layer(&design.network().layers()[idx]);
         with_numeric!(design.config().numeric, E => Box::new(
-            ConvCore::<E>::new(
+            conv_core::<E>(
                 core.name.clone(),
                 l,
                 in_chs,
@@ -270,7 +315,9 @@ impl CoreModel for ConvModel {
 
 #[cfg(test)]
 mod tests {
+    use super::super::window::harness::run_window;
     use super::*;
+    use dfcnn_tensor::{ConvGeometry, Fixed16, Shape3, Tensor1, Tensor4};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -336,5 +383,125 @@ mod tests {
         assert_eq!(plan.in_values_per_image, 16 * 16);
         // 5x5 window over a 16x16 input, stride 1 -> 12x12 positions
         assert_eq!(plan.positions, 12 * 12);
+    }
+
+    /// Stream one image through an isolated conv actor at element type `E`
+    /// and the Eq. 4 II of its port choice.
+    fn run_conv<E: Numeric>(
+        conv: &Conv2d,
+        in_ports: usize,
+        out_ports: usize,
+        img: &Tensor3<f32>,
+    ) -> (Tensor3<f32>, u64) {
+        let ii = pipeline_ii(
+            conv.geometry().input.c,
+            in_ports,
+            conv.out_maps(),
+            out_ports,
+        );
+        let ops = OpLatency::f32_virtex7();
+        run_window(
+            in_ports,
+            out_ports,
+            |ins, outs| conv_core::<E>("conv".into(), conv, ins, outs, ii, &ops),
+            img,
+            conv.output_shape(),
+        )
+    }
+
+    /// The actor's output at `E` is bit-identical to the kernel the host
+    /// stage worker runs, with an arena of the same element type.
+    fn assert_actor_matches_kernel<E: Numeric>(
+        conv: &Conv2d,
+        in_ports: usize,
+        out_ports: usize,
+        img: &Tensor3<f32>,
+    ) -> Tensor3<f32> {
+        let (out, _) = run_conv::<E>(conv, in_ports, out_ports, img);
+        let mut expect = Tensor3::zeros(conv.output_shape());
+        let mut arena = ConvArena::<E>::new(conv, in_ports);
+        conv_forward_hw_into(conv, in_ports, img, &mut expect, &mut arena);
+        assert_eq!(out, expect, "cycle core must be bit-identical to kernel");
+        out
+    }
+
+    /// [`assert_actor_matches_kernel`] at f32 and at q16f8.
+    fn assert_matches_at_both_numerics(
+        conv: &Conv2d,
+        in_ports: usize,
+        out_ports: usize,
+        img: &Tensor3<f32>,
+    ) {
+        assert_actor_matches_kernel::<f32>(conv, in_ports, out_ports, img);
+        assert_actor_matches_kernel::<Fixed16<8>>(conv, in_ports, out_ports, img);
+    }
+
+    fn random_conv(
+        seed: u64,
+        shape: Shape3,
+        k: usize,
+        khw: usize,
+        stride: usize,
+    ) -> (Conv2d, Tensor3<f32>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let geo = ConvGeometry::new(shape, khw, khw, stride, 0);
+        let f = dfcnn_tensor::init::conv_filters(&mut rng, k, khw, khw, shape.c);
+        let b = dfcnn_tensor::init::random_vector(&mut rng, k, -0.1, 0.1);
+        let conv = Conv2d::new(geo, f, b, Activation::Tanh);
+        let img = dfcnn_tensor::init::random_volume(&mut rng, shape, -1.0, 1.0);
+        (conv, img)
+    }
+
+    #[test]
+    fn single_port_core_matches_hw_kernel_exactly() {
+        let (conv, img) = random_conv(1, Shape3::new(8, 8, 3), 4, 3, 1);
+        assert_matches_at_both_numerics(&conv, 1, 1, &img);
+    }
+
+    #[test]
+    fn fully_parallel_core_matches() {
+        let (conv, img) = random_conv(2, Shape3::new(6, 6, 2), 4, 3, 1);
+        assert_eq!(pipeline_ii(2, 2, 4, 4), 1);
+        assert_matches_at_both_numerics(&conv, 2, 4, &img);
+    }
+
+    #[test]
+    fn mixed_ports_match() {
+        let (conv, img) = random_conv(3, Shape3::new(7, 7, 4), 6, 3, 1);
+        assert_matches_at_both_numerics(&conv, 2, 2, &img);
+    }
+
+    #[test]
+    fn higher_ii_takes_proportionally_longer() {
+        let (conv, img) = random_conv(4, Shape3::new(10, 10, 1), 4, 3, 1);
+        // 1 -> 4 ports runs at II = 1, 1 -> 1 port at II = 4
+        let (_, fast) = run_conv::<f32>(&conv, 1, 4, &img);
+        let (_, slow) = run_conv::<f32>(&conv, 1, 1, &img);
+        // 64 windows: II=4 adds ~3*63 cycles over II=1
+        assert!(
+            slow > fast + 150,
+            "II=4 run ({slow}) should be much slower than II=1 ({fast})"
+        );
+    }
+
+    #[test]
+    fn strided_core_matches() {
+        let (conv, img) = random_conv(5, Shape3::new(8, 8, 2), 2, 2, 2);
+        assert_matches_at_both_numerics(&conv, 1, 1, &img);
+    }
+
+    #[test]
+    fn identity_1x1_core_passes_values() {
+        let geo = ConvGeometry::new(Shape3::new(3, 3, 1), 1, 1, 1, 0);
+        let mut f = Tensor4::zeros(1, 1, 1, 1);
+        f.set(0, 0, 0, 0, 1.0);
+        let conv = Conv2d::new(geo, f, Tensor1::zeros(1), Activation::Identity);
+        // small integers are exact in both numerics
+        let img = Tensor3::from_fn(Shape3::new(3, 3, 1), |y, x, _| (y * 3 + x) as f32);
+        assert_eq!(assert_actor_matches_kernel::<f32>(&conv, 1, 1, &img), img);
+        assert_eq!(
+            assert_actor_matches_kernel::<Fixed16<8>>(&conv, 1, 1, &img),
+            img
+        );
     }
 }

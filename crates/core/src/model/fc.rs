@@ -1,14 +1,27 @@
 //! The fully-connected layer kind (§IV-B): a single-input-port /
 //! single-output-port 1×1 convolution with interleaved accumulators.
+//!
+//! "We decided to implement a FCN layer as a single-input-port/
+//! single-output-port convolutional layer. In this way, the number of
+//! parallel multiplications is reduced, while the execution time remains
+//! linearly related to the number of input and output values." For each
+//! input value all `OUT_FM` 1×1 convolutions happen in the same cycle; the
+//! floating-point accumulation latency is hidden by interleaved
+//! accumulator banks (see [`dfcnn_hls::accum`]). After the last input the
+//! core drains (pipeline flush + merge tree + bias + activation) and sends
+//! the outputs sequentially on its single output port.
 
+use super::reduce::{ReduceCompute, ReduceCore};
 use super::{validate_ports, CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::kernel::{fc_forward_hw_into, FcArena};
-use crate::layer::FcCore;
+use crate::kernel::{fc_forward_hw_into, fc_forward_into, FcArena};
 use crate::sim::Actor;
 use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
+use dfcnn_hls::latency::OpLatency;
+use dfcnn_hls::reduce::TreeAdder;
+use dfcnn_nn::act::Activation;
 use dfcnn_nn::layer::{Layer, Linear};
 use dfcnn_tensor::{with_numeric, Numeric, Shape3, Tensor3};
 use std::fmt::Write as _;
@@ -21,6 +34,65 @@ fn fc_layer(layer: &Layer) -> &Linear {
         Layer::Linear(l) => l,
         _ => unreachable!("fc model handed a non-linear layer"),
     }
+}
+
+/// Input-loop initiation interval with `banks` interleaved accumulators:
+/// `ceil(add_latency / banks)`, at least 1 (one value per cycle at most).
+fn input_ii(banks: usize, ops: &OpLatency) -> u64 {
+    (ops.add as u64).div_ceil(banks as u64).max(1)
+}
+
+/// Drain latency after the last input: the add pipeline flush, the merge
+/// tree over the banks, the bias add and the activation.
+fn drain_latency(banks: usize, ops: &OpLatency) -> u64 {
+    ops.add as u64
+        + TreeAdder::new(banks).latency(ops) as u64
+        + ops.add as u64
+        + ops.activation as u64
+}
+
+/// The FC whole-vector compute: the arena holds the quantised weights and
+/// bias; inputs are quantised and outputs dequantised inside
+/// [`fc_forward_into`] (identities for `E = f32`).
+struct FcReduce<E: Numeric> {
+    arena: FcArena<E>,
+    activation: Activation,
+}
+
+impl<E: Numeric> ReduceCompute for FcReduce<E> {
+    fn shape(&self) -> (usize, usize) {
+        (self.arena.inputs(), self.arena.outputs())
+    }
+
+    fn compute(&mut self, inputs: &[f32], out: &mut [f32]) {
+        fc_forward_into(out, &mut self.arena, self.activation, inputs);
+    }
+}
+
+/// The FC cycle actor: the shared accumulate-and-drain core running
+/// [`FcReduce`] with `banks` interleaved accumulators (the paper's choice
+/// is "a higher number of accumulators than the single addition latency",
+/// e.g. ≥ 11 for f32).
+fn fc_core<E: Numeric>(
+    name: String,
+    linear: &Linear,
+    in_ch: ChannelId,
+    out_ch: ChannelId,
+    banks: usize,
+    ops: &OpLatency,
+) -> ReduceCore<FcReduce<E>> {
+    let kernel = FcReduce {
+        arena: FcArena::new(linear.weights(), linear.bias(), banks),
+        activation: linear.activation(),
+    };
+    ReduceCore::new(
+        name,
+        in_ch,
+        out_ch,
+        input_ii(banks, ops),
+        drain_latency(banks, ops),
+        kernel,
+    )
 }
 
 struct FcWorker<E: Numeric> {
@@ -90,10 +162,7 @@ impl CoreModel for FcModel {
 
     fn estimate_interval(&self, core: &CoreInfo, config: &DesignConfig) -> u64 {
         let p = &core.params;
-        let in_ii = (config.ops.add as u64)
-            .div_ceil(p.accumulators as u64)
-            .max(1);
-        p.in_fm as u64 * in_ii + p.out_fm as u64
+        p.in_fm as u64 * input_ii(p.accumulators, &config.ops) + p.out_fm as u64
     }
 
     fn range_transfer(
@@ -151,7 +220,7 @@ impl CoreModel for FcModel {
     ) -> Box<dyn Actor> {
         let idx = core.layer_index.expect("fc core has a layer");
         let l = fc_layer(&design.network().layers()[idx]);
-        with_numeric!(design.config().numeric, E => Box::new(FcCore::<E>::new(
+        with_numeric!(design.config().numeric, E => Box::new(fc_core::<E>(
             core.name.clone(),
             l,
             in_chs[0],
@@ -231,7 +300,9 @@ impl CoreModel for FcModel {
 
 #[cfg(test)]
 mod tests {
+    use super::super::reduce::harness::run_reduce;
     use super::*;
+    use dfcnn_tensor::Fixed16;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -282,5 +353,91 @@ mod tests {
         assert!(m.forces_single_port());
         assert_eq!(m.out_port_options(&layer, 16), vec![1]);
         assert_eq!(m.classifier_outputs(&layer), Some(10));
+    }
+
+    fn random_fc(seed: u64, inputs: usize, outputs: usize) -> (Linear, Vec<f32>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let w = dfcnn_tensor::init::linear_weights(&mut rng, inputs, outputs);
+        let b = dfcnn_tensor::init::random_vector(&mut rng, outputs, -0.1, 0.1);
+        let fc = Linear::new(w, b, Activation::Tanh);
+        let x = dfcnn_tensor::init::random_volume(&mut rng, Shape3::new(1, 1, inputs), -1.0, 1.0);
+        (fc, x.as_slice().to_vec())
+    }
+
+    /// Stream `images` copies of `x` through an isolated FC actor at
+    /// element type `E` with `banks` accumulators.
+    fn run_fc<E: Numeric>(
+        fc: &Linear,
+        banks: usize,
+        x: &[f32],
+        images: usize,
+    ) -> (Vec<Vec<f32>>, u64) {
+        let ops = OpLatency::f32_virtex7();
+        run_reduce(
+            |i, o| fc_core::<E>("fc".into(), fc, i, o, banks, &ops),
+            x,
+            images,
+        )
+    }
+
+    /// The actor's output at `E` is bit-identical to the kernel the host
+    /// stage worker runs, with an arena of the same element type.
+    fn assert_actor_matches_kernel<E: Numeric>(fc: &Linear, banks: usize, x: &[f32]) {
+        let (res, _) = run_fc::<E>(fc, banks, x, 1);
+        let mut expect = vec![0.0; fc.outputs()];
+        let mut arena = FcArena::<E>::new(fc.weights(), fc.bias(), banks);
+        fc_forward_into(&mut expect, &mut arena, fc.activation(), x);
+        assert_eq!(res[0], expect, "cycle core must be bit-identical to kernel");
+    }
+
+    #[test]
+    fn outputs_match_hw_kernel_exactly() {
+        let (fc, x) = random_fc(1, 64, 10);
+        assert_actor_matches_kernel::<f32>(&fc, 11, &x);
+        assert_actor_matches_kernel::<Fixed16<8>>(&fc, 11, &x);
+    }
+
+    #[test]
+    fn bank_count_controls_input_rate() {
+        let (fc, x) = random_fc(2, 100, 4);
+        let (_, fast) = run_fc::<f32>(&fc, 11, &x, 1);
+        let (_, slow) = run_fc::<f32>(&fc, 1, &x, 1);
+        // 1 bank -> II = 11 per input: ~11x slower feed
+        assert!(
+            slow > fast * 5,
+            "1-bank run ({slow}) should be much slower than 11-bank ({fast})"
+        );
+    }
+
+    #[test]
+    fn back_to_back_images_are_processed() {
+        let (fc, x) = random_fc(3, 20, 5);
+        for res in [
+            run_fc::<f32>(&fc, 11, &x, 3).0,
+            run_fc::<Fixed16<8>>(&fc, 11, &x, 3).0,
+        ] {
+            assert_eq!(res.len(), 3);
+            assert_eq!(res[0], res[1]);
+            assert_eq!(res[1], res[2]);
+        }
+    }
+
+    #[test]
+    fn stage_interval_formula() {
+        let (fc, x) = random_fc(4, 900, 72);
+        let ops = OpLatency::f32_virtex7();
+        assert_eq!(input_ii(11, &ops), 1);
+        // I·II + drain + J, plus the one cycle the first input spends
+        // crossing the input FIFO
+        let (_, cycles) = run_fc::<f32>(&fc, 11, &x, 1);
+        assert_eq!(cycles, 900 + drain_latency(11, &ops) + 72 + 1);
+    }
+
+    #[test]
+    fn single_output_layer_works() {
+        let (fc, x) = random_fc(5, 8, 1);
+        let (res, _) = run_fc::<f32>(&fc, 11, &x, 2);
+        assert_eq!(res[0].len(), 1);
+        assert_eq!(res[0], res[1]);
     }
 }

@@ -14,12 +14,12 @@
 //! same kernel used by the host pipeline stage and `hw_forward` — so all
 //! three engines stay bit-identical.
 
+use super::reduce::{ReduceCompute, ReduceCore};
 use super::{CoreModel, CorePlan, StageSpec, StageWorker};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
 use crate::kernel::{logsoftmax_forward_into, LogSoftmaxArena};
-use crate::sim::{Actor, Quiescence, Wiring};
-use crate::stream::{ChannelId, ChannelSet};
-use crate::trace::{EventKind, Stall, Trace};
+use crate::sim::Actor;
+use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
 use dfcnn_hls::latency::OpLatency;
@@ -57,161 +57,35 @@ impl<E: Numeric> StageWorker for LogSoftmaxWorker<E> {
     }
 }
 
-enum Phase {
-    /// Consuming class scores (count so far).
-    Accumulate(usize),
-    /// Emitting normalised score `j` starting at `ready_cycle`.
-    Drain { next_j: usize, ready: u64 },
+impl<E: Numeric> ReduceCompute for LogSoftmaxArena<E> {
+    fn shape(&self) -> (usize, usize) {
+        (self.classes(), self.classes())
+    }
+
+    fn compute(&mut self, inputs: &[f32], out: &mut [f32]) {
+        logsoftmax_forward_into(out, inputs, self);
+    }
 }
 
-/// The log-softmax normalisation core as a cycle actor. Single input
-/// port, single output port, weight-free. Generic over the executed
-/// element type: scores are quantised on ingest and the normalised scores
-/// re-quantised on emission; the exp/ln pipeline stays f32 (see
-/// [`logsoftmax_forward_into`]).
-pub struct LogSoftmaxCore<E: Numeric = f32> {
+/// The log-softmax cycle actor: the shared accumulate-and-drain core
+/// reading one score per cycle. Weight-free; scores are quantised on
+/// ingest and the normalised scores re-quantised on emission, while the
+/// exp/ln pipeline stays f32 (see [`logsoftmax_forward_into`]).
+fn logsoftmax_core<E: Numeric>(
     name: String,
+    classes: usize,
     in_ch: ChannelId,
     out_ch: ChannelId,
-    classes: usize,
-    arena: LogSoftmaxArena<E>,
-    drain: u64,
-    buffer: Vec<f32>,
-    results: Vec<f32>,
-    phase: Phase,
-    inits: u64,
-}
-
-impl<E: Numeric> LogSoftmaxCore<E> {
-    /// Build the core for a `classes`-wide score vector.
-    pub fn new(
-        name: impl Into<String>,
-        classes: usize,
-        in_ch: ChannelId,
-        out_ch: ChannelId,
-        ops: &OpLatency,
-    ) -> Self {
-        LogSoftmaxCore {
-            name: name.into(),
-            in_ch,
-            out_ch,
-            classes,
-            arena: LogSoftmaxArena::new(classes),
-            drain: drain_latency(classes, ops),
-            buffer: Vec::with_capacity(classes),
-            results: vec![0.0; classes],
-            phase: Phase::Accumulate(0),
-            inits: 0,
-        }
-    }
-
-    /// Drain latency in cycles.
-    pub fn drain_latency(&self) -> u64 {
-        self.drain
-    }
-}
-
-impl<E: Numeric> Actor for LogSoftmaxCore<E> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
-        match self.phase {
-            Phase::Accumulate(count) => {
-                if chans.peek(self.in_ch).is_some() {
-                    let v = chans.pop(self.in_ch).unwrap();
-                    self.buffer.push(v);
-                    self.inits += 1;
-                    trace.record(cycle, &self.name, EventKind::Initiate);
-                    if count + 1 == self.classes {
-                        logsoftmax_forward_into(&mut self.results, &self.buffer, &mut self.arena);
-                        self.buffer.clear();
-                        self.phase = Phase::Drain {
-                            next_j: 0,
-                            ready: cycle + self.drain,
-                        };
-                    } else {
-                        self.phase = Phase::Accumulate(count + 1);
-                    }
-                }
-            }
-            Phase::Drain { next_j, ready } => {
-                if cycle >= ready && chans.can_push(self.out_ch) {
-                    chans.push(self.out_ch, self.results[next_j]);
-                    trace.record(cycle, &self.name, EventKind::Emit);
-                    if next_j + 1 == self.classes {
-                        self.phase = Phase::Accumulate(0);
-                    } else {
-                        self.phase = Phase::Drain {
-                            next_j: next_j + 1,
-                            ready: cycle + 1,
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    fn busy(&self) -> bool {
-        match self.phase {
-            Phase::Accumulate(c) => c > 0,
-            Phase::Drain { .. } => true,
-        }
-    }
-
-    fn initiations(&self) -> u64 {
-        self.inits
-    }
-
-    fn wiring(&self) -> Wiring {
-        Wiring {
-            inputs: vec![self.in_ch],
-            outputs: vec![self.out_ch],
-        }
-    }
-
-    fn quiescence(&self, now: u64, chans: &ChannelSet) -> Quiescence {
-        match self.phase {
-            Phase::Accumulate(_) => {
-                if chans.peek(self.in_ch).is_none() {
-                    Quiescence::Wait(None) // starved: push wakes us
-                } else {
-                    Quiescence::Active
-                }
-            }
-            Phase::Drain { ready, .. } => {
-                if !chans.can_push(self.out_ch) {
-                    Quiescence::Wait(None) // backpressured: pop wakes us
-                } else if ready > now + 1 {
-                    Quiescence::Wait(Some(ready)) // drain latency
-                } else {
-                    Quiescence::Active
-                }
-            }
-        }
-    }
-
-    fn stall(&self, chans: &ChannelSet) -> Stall {
-        match self.phase {
-            Phase::Accumulate(count) => {
-                if chans.peek(self.in_ch).is_some() {
-                    Stall::Computing
-                } else if count > 0 {
-                    Stall::Starved(0) // mid-image, upstream ran dry
-                } else {
-                    Stall::Idle // between images
-                }
-            }
-            Phase::Drain { .. } => {
-                if chans.can_push(self.out_ch) {
-                    Stall::Computing // drain latency elapsing
-                } else {
-                    Stall::Backpressured(0)
-                }
-            }
-        }
-    }
+    ops: &OpLatency,
+) -> ReduceCore<LogSoftmaxArena<E>> {
+    ReduceCore::new(
+        name,
+        in_ch,
+        out_ch,
+        1,
+        drain_latency(classes, ops),
+        LogSoftmaxArena::new(classes),
+    )
 }
 
 impl CoreModel for LogSoftmaxModel {
@@ -284,7 +158,7 @@ impl CoreModel for LogSoftmaxModel {
         in_chs: Vec<ChannelId>,
         out_chs: Vec<ChannelId>,
     ) -> Box<dyn Actor> {
-        with_numeric!(design.config().numeric, E => Box::new(LogSoftmaxCore::<E>::new(
+        with_numeric!(design.config().numeric, E => Box::new(logsoftmax_core::<E>(
             core.name.clone(),
             core.params.in_fm,
             in_chs[0],
@@ -354,45 +228,32 @@ impl CoreModel for LogSoftmaxModel {
 
 #[cfg(test)]
 mod tests {
+    use super::super::reduce::harness::run_reduce;
     use super::*;
-    use crate::kernel::logsoftmax_forward_hw;
     use dfcnn_nn::layer::LogSoftmax;
+    use dfcnn_tensor::Fixed16;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn run_core(scores: &[f32], images: usize) -> (Vec<Vec<f32>>, u64) {
-        let k = scores.len();
-        let mut chans = ChannelSet::new();
-        let inp = chans.alloc(8);
-        let out = chans.alloc(8);
+    /// Stream `images` copies of `scores` through an isolated log-softmax
+    /// actor at element type `E`.
+    fn run_logsoftmax<E: Numeric>(scores: &[f32], images: usize) -> (Vec<Vec<f32>>, u64) {
         let ops = OpLatency::f32_virtex7();
-        let mut core = LogSoftmaxCore::<f32>::new("logsoftmax", k, inp, out, &ops);
-        let mut feed: Vec<f32> = Vec::new();
-        for _ in 0..images {
-            feed.extend_from_slice(scores);
-        }
-        let mut cursor = 0;
-        let mut results = vec![Vec::new(); images];
-        let mut img = 0;
-        let mut trace = Trace::disabled();
-        let mut cycle = 0u64;
-        while img < images {
-            if cursor < feed.len() && chans.can_push(inp) {
-                chans.push(inp, feed[cursor]);
-                cursor += 1;
-            }
-            core.tick(cycle, &mut chans, &mut trace);
-            while let Some(v) = chans.pop(out) {
-                results[img].push(v);
-                if results[img].len() == k {
-                    img += 1;
-                }
-            }
-            chans.commit_all();
-            cycle += 1;
-            assert!(cycle < 1_000_000, "logsoftmax core made no progress");
-        }
-        (results, cycle)
+        run_reduce(
+            |i, o| logsoftmax_core::<E>("logsoftmax".into(), scores.len(), i, o, &ops),
+            scores,
+            images,
+        )
+    }
+
+    /// The actor's output at `E` is bit-identical to the kernel the host
+    /// stage worker runs, with an arena of the same element type.
+    fn assert_actor_matches_kernel<E: Numeric>(scores: &[f32]) {
+        let (res, _) = run_logsoftmax::<E>(scores, 1);
+        let mut expect = vec![0.0; scores.len()];
+        let mut arena = LogSoftmaxArena::<E>::new(scores.len());
+        logsoftmax_forward_into(&mut expect, scores, &mut arena);
+        assert_eq!(res[0], expect, "cycle core must be bit-identical to kernel");
     }
 
     fn random_scores(seed: u64, k: usize) -> Vec<f32> {
@@ -405,16 +266,14 @@ mod tests {
     #[test]
     fn actor_matches_hw_kernel_exactly() {
         let scores = random_scores(1, 10);
-        let (res, _) = run_core(&scores, 1);
-        let x = Tensor3::from_vec(Shape3::new(1, 1, 10), scores.clone());
-        let expect = logsoftmax_forward_hw(&x);
-        assert_eq!(res[0].as_slice(), expect.as_slice());
+        assert_actor_matches_kernel::<f32>(&scores);
+        assert_actor_matches_kernel::<Fixed16<8>>(&scores);
     }
 
     #[test]
     fn close_to_reference_layer_and_normalised() {
         let scores = random_scores(2, 10);
-        let (res, _) = run_core(&scores, 1);
+        let (res, _) = run_logsoftmax::<f32>(&scores, 1);
         let x = Tensor3::from_vec(Shape3::new(1, 1, 10), scores.clone());
         let reference = LogSoftmax::new(10).forward(&x);
         for (a, b) in res[0].iter().zip(reference.as_slice()) {
@@ -432,13 +291,15 @@ mod tests {
     #[test]
     fn back_to_back_images_and_drain_gap() {
         let scores = random_scores(3, 6);
-        let (res, cycles) = run_core(&scores, 3);
+        let (res, cycles) = run_logsoftmax::<f32>(&scores, 3);
         assert_eq!(res.len(), 3);
         assert_eq!(res[0], res[1]);
         assert_eq!(res[1], res[2]);
         let ops = OpLatency::f32_virtex7();
         // each image pays at least reads + drain + writes
         assert!(cycles >= 3 * (6 + drain_latency(6, &ops) + 6) - 8);
+        let (fixed, _) = run_logsoftmax::<Fixed16<8>>(&scores, 3);
+        assert_eq!(fixed[0], fixed[2]);
     }
 
     #[test]

@@ -9,11 +9,18 @@
 //! validation rules, hardware-order compute, cycle-actor construction,
 //! resource parameters, HLS C++ emission and display labels — lives in one
 //! `CoreModel` implementation per kind ([`conv`], [`pool`], [`fc`],
-//! [`adapter`], [`logsoftmax`]).
+//! [`logsoftmax`], [`adapter`], [`fork`], [`eltwise`], [`concat`](mod@concat),
+//! [`scaleshift`]).
+//!
+//! The four compute kinds share two cycle-actor shapes: conv and pool run
+//! on one windowed core (`window.rs`: SST line buffers feeding a pipelined
+//! core at the Eq. 4 II), FC and log-softmax on one accumulate-and-drain
+//! core (`reduce.rs`). Their kind modules supply only the per-window or
+//! per-vector compute and the latency numbers.
 //!
 //! The consumers (`graph`, `sim`, `exec`, `verify`, `codegen`, `dse`,
 //! `multi`, `flow`) contain **zero per-kind dispatch**; a CI grep-lint
-//! (`scripts/lint_corekind.sh`) keeps it that way. Adding a layer kind is
+//! (`scripts/lint.sh`) keeps it that way. Adding a layer kind is
 //! one new module here plus a `CoreKind` variant and cost-model arm in
 //! `dfcnn-fpga` — see DESIGN.md §2d and the README recipe.
 //!
@@ -30,7 +37,9 @@ pub mod fc;
 pub mod fork;
 pub mod logsoftmax;
 pub mod pool;
+mod reduce;
 pub mod scaleshift;
+mod window;
 
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign, StageInput};
 use crate::range::{Interval, Transfer};

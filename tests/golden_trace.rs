@@ -14,7 +14,7 @@
 mod common;
 
 use common::residual_design;
-use dfcnn::core::graph::{DesignConfig, NetworkDesign, PortConfig};
+use dfcnn::core::graph::{DesignConfig, LayerPorts, NetworkDesign, PortConfig};
 use dfcnn::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -32,6 +32,11 @@ const RESIDUAL_GOLDEN_PATH: &str = concat!(
 const RESNET8_GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/resnet8_trace.csv"
+);
+
+const WINDOW_REDUCE_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/window_reduce_trace.csv"
 );
 
 /// The fixed fixture: a minimal conv → flatten → linear network, one
@@ -292,6 +297,101 @@ fn inception_chrome_export_names_concat_actors() {
     }
 }
 
+/// The compute-core fixture: conv → 2×2 max-pool bank on two ports →
+/// flatten → FC → on-fabric log-softmax, two deterministic images — pins
+/// the windowed cores (conv, a multi-port max-pool) and the
+/// accumulate-and-drain cores (FC, log-softmax) cycle for cycle,
+/// including the second image's restart of both drain phases.
+fn window_reduce_fixture() -> (NetworkDesign, Vec<Tensor3<f32>>) {
+    let spec = NetworkSpec {
+        name: "golden-window-reduce".into(),
+        input: Shape3::new(6, 6, 1),
+        layers: vec![
+            LayerSpec::Conv {
+                kh: 3,
+                kw: 3,
+                out_maps: 4,
+                stride: 1,
+                pad: 0,
+                activation: Activation::Tanh,
+            },
+            LayerSpec::Pool {
+                kh: 2,
+                kw: 2,
+                stride: 2,
+                kind: PoolKind::Max,
+            },
+            LayerSpec::Flatten,
+            LayerSpec::Linear {
+                outputs: 3,
+                activation: Activation::Identity,
+            },
+            LayerSpec::LogSoftmax,
+        ],
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(81);
+    let network = spec.build(&mut rng);
+    let ports = PortConfig {
+        layers: vec![
+            LayerPorts {
+                in_ports: 1,
+                out_ports: 2,
+            },
+            LayerPorts {
+                in_ports: 2,
+                out_ports: 2,
+            },
+            LayerPorts::SINGLE,
+        ],
+    };
+    let config = DesignConfig {
+        fabric_normalization: true,
+        ..DesignConfig::default()
+    };
+    let design = NetworkDesign::new(&network, ports, config).unwrap();
+    let images = (0..2)
+        .map(|_| dfcnn::tensor::init::random_volume(&mut rng, spec.input, 0.0, 1.0))
+        .collect();
+    (design, images)
+}
+
+fn window_reduce_rendered_csv() -> String {
+    let (design, images) = window_reduce_fixture();
+    let (_, trace) = design.instantiate(&images).with_trace().run();
+    trace.to_csv()
+}
+
+#[test]
+fn window_reduce_trace_csv_matches_golden_file() {
+    let csv = window_reduce_rendered_csv();
+    let golden = std::fs::read_to_string(WINDOW_REDUCE_GOLDEN_PATH)
+        .expect("golden file missing — run the ignored bless_golden_trace test");
+    assert!(
+        csv == golden,
+        "window/reduce trace CSV diverged from {WINDOW_REDUCE_GOLDEN_PATH}\n\
+         first differing line: {:?}\n\
+         re-bless only if the format change is intentional",
+        csv.lines()
+            .zip(golden.lines())
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+            .map(|(i, (a, b))| format!("line {}: got {a:?}, want {b:?}", i + 1))
+            .unwrap_or_else(|| "line count differs".into())
+    );
+}
+
+/// Scheduler independence holds through every compute-core shape.
+#[test]
+fn window_reduce_trace_csv_identical_across_schedulers() {
+    let (design, images) = window_reduce_fixture();
+    let (_, reference) = design
+        .instantiate(&images)
+        .with_trace()
+        .reference_mode()
+        .run();
+    assert_eq!(window_reduce_rendered_csv(), reference.to_csv());
+}
+
 /// Regenerate the golden files (ignored; run explicitly after intentional
 /// trace-format changes).
 #[test]
@@ -301,4 +401,5 @@ fn bless_golden_trace() {
     std::fs::write(GOLDEN_PATH, rendered_csv()).unwrap();
     std::fs::write(RESIDUAL_GOLDEN_PATH, residual_rendered_csv()).unwrap();
     std::fs::write(RESNET8_GOLDEN_PATH, resnet8_rendered_csv()).unwrap();
+    std::fs::write(WINDOW_REDUCE_GOLDEN_PATH, window_reduce_rendered_csv()).unwrap();
 }
