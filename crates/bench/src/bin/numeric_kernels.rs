@@ -5,16 +5,21 @@
 //!
 //! Three measurement groups, each on both paper test cases' shapes:
 //!
-//! * `conv_window_packed` vs `conv_window_packed_scalar` — the hot conv
-//!   group product, per element type (`f32`, `q16f8`, `q8f4`),
+//! * the hot conv window kernel `conv_window_packed`, per element type:
+//!   for `f32` its lanes-across-OUT_FM form against the per-FM reference
+//!   `conv_window`, for `q16f8`/`q8f4` its SIMD dot against the
+//!   forced-scalar reduction `conv_window_packed_scalar`,
 //! * `Numeric::dot_acc` vs `Numeric::dot_acc_scalar` — the FC row dot,
 //! * whole-network `hw_forward` per numeric spec (end-to-end effect).
 //!
 //! Then the accuracy sweep: both test cases trained once in f32, then
 //! classified through every supported fixed spec's quantised datapath.
-//! Results go to `BENCH_kernels.json` (the committed CI artifact). In release builds on the packed conv kernel
-//! the fixed-point SIMD path must hold a ≥ 1.2× margin over the scalar
-//! loop — the CI smoke contract for the vectorised kernels.
+//! Results go to `BENCH_kernels.json` (the committed CI artifact). Two
+//! release-only gates are the CI smoke contract for the vectorised conv
+//! kernel: the fixed-point SIMD path must hold a ≥ 1.2× margin over the
+//! scalar loop on every shape, and the f32 lane kernel a ≥ 2× margin over
+//! `conv_window` on the TC-2 conv2 shape (36 FMs × 300-value window,
+//! one port).
 //!
 //! ```text
 //! cargo run -p dfcnn-bench --release --bin numeric_kernels
@@ -22,12 +27,15 @@
 
 use dfcnn_bench::{write_bench_record, SEED};
 use dfcnn_core::graph::{DesignConfig, NetworkDesign, PortConfig};
-use dfcnn_core::kernel::{conv_window_packed, conv_window_packed_scalar, PackedFilters};
+use dfcnn_core::kernel::{
+    conv_window, conv_window_packed, conv_window_packed_scalar, PackedFilters,
+};
 use dfcnn_datasets::{Dataset, Generator, SyntheticCifar, SyntheticUsps};
 use dfcnn_nn::act::Activation;
 use dfcnn_nn::topology::NetworkSpec;
 use dfcnn_nn::train::{TrainConfig, Trainer};
-use dfcnn_tensor::{Fixed16, Fixed8, Numeric, NumericSpec, Tensor3};
+use dfcnn_tensor::simd::LANES;
+use dfcnn_tensor::{Fixed16, Fixed8, Numeric, NumericSpec, Tensor1, Tensor3, Tensor4};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -38,10 +46,17 @@ use std::time::Instant;
 /// (release builds only — debug codegen tells us nothing about lanes).
 const TARGET_CONV_SPEEDUP: f64 = 1.2;
 
+/// CI contract: the f32 lane kernel ≥ 2× the per-FM reference
+/// `conv_window` on the TC-2 conv2 shape (release builds only).
+const TARGET_F32_LANE_SPEEDUP: f64 = 2.0;
+
 #[derive(Serialize)]
 struct ConvRow {
     case: String,
     elem: String,
+    /// What `scalar_ns` timed: the per-FM reference `conv_window` for
+    /// f32, the forced-scalar reduction for fixed point.
+    baseline: String,
     out_fm: usize,
     window_len: usize,
     in_ports: usize,
@@ -118,10 +133,24 @@ fn time_ns(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// One conv shape, one element type: time the packed kernel with the
-/// element's dot fast path against the forced-scalar reduction, checking
-/// both produce identical bits first.
-fn conv_case<E: Numeric>(
+/// Random filters, bias and window for one conv shape.
+fn conv_inputs(
+    out_fm: usize,
+    kh: usize,
+    kw: usize,
+    in_fm: usize,
+) -> (Tensor4<f32>, Tensor1<f32>, Vec<f32>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0xC0);
+    let filters = dfcnn_tensor::init::conv_filters(&mut rng, out_fm, kh, kw, in_fm);
+    let bias = dfcnn_tensor::init::random_vector(&mut rng, out_fm, -0.1, 0.1);
+    let window = dfcnn_tensor::init::random_vector(&mut rng, kh * kw * in_fm, -1.0, 1.0);
+    (filters, bias, window.as_slice().to_vec())
+}
+
+/// One conv shape, one fixed-point element type: time the packed kernel
+/// with the element's dot fast path against the forced-scalar reduction,
+/// checking both produce identical bits first.
+fn conv_case_fixed<E: Numeric>(
     case: &str,
     elem: &str,
     out_fm: usize,
@@ -130,18 +159,11 @@ fn conv_case<E: Numeric>(
     in_fm: usize,
     in_ports: usize,
 ) -> ConvRow {
-    let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0xC0);
-    let filters = dfcnn_tensor::init::conv_filters(&mut rng, out_fm, kh, kw, in_fm);
-    let bias_f = dfcnn_tensor::init::random_vector(&mut rng, out_fm, -0.1, 0.1);
-    let window_f = dfcnn_tensor::init::random_vector(&mut rng, kh * kw * in_fm, -1.0, 1.0);
+    let (filters, bias_f, window_f) = conv_inputs(out_fm, kh, kw, in_fm);
     let packed = PackedFilters::<E>::new(&filters);
     let bias: Vec<E> = bias_f.as_slice().iter().map(|&v| E::from_f32(v)).collect();
-    let window: Vec<E> = window_f
-        .as_slice()
-        .iter()
-        .map(|&v| E::from_f32(v))
-        .collect();
-    let mut scratch = vec![E::Acc::default(); in_ports * kh * kw];
+    let window: Vec<E> = window_f.iter().map(|&v| E::from_f32(v)).collect();
+    let mut scratch = Vec::new(); // the exact path needs none
     let mut out_simd = vec![E::zero(); out_fm];
     let mut out_scalar = vec![E::zero(); out_fm];
     conv_window_packed(
@@ -189,6 +211,83 @@ fn conv_case<E: Numeric>(
     ConvRow {
         case: case.to_string(),
         elem: elem.to_string(),
+        baseline: "conv_window_packed_scalar".to_string(),
+        out_fm,
+        window_len: kh * kw * in_fm,
+        in_ports,
+        simd_ns,
+        scalar_ns,
+        speedup: scalar_ns / simd_ns,
+    }
+}
+
+/// One conv shape in f32: time the lanes-across-OUT_FM packed kernel
+/// against the per-FM reference `conv_window`, checking both produce
+/// identical bits (`to_bits`, so a signed-zero swap counts) first.
+fn conv_case_f32(
+    case: &str,
+    out_fm: usize,
+    kh: usize,
+    kw: usize,
+    in_fm: usize,
+    in_ports: usize,
+) -> ConvRow {
+    let (filters, bias, window) = conv_inputs(out_fm, kh, kw, in_fm);
+    let packed = PackedFilters::<f32>::new(&filters);
+    let mut scratch = vec![0.0f32; LANES * in_ports * kh * kw];
+    let mut out_lanes = vec![0.0f32; out_fm];
+    let mut out_ref = vec![0.0f32; out_fm];
+    conv_window_packed(
+        &mut out_lanes,
+        &window,
+        &packed,
+        bias.as_slice(),
+        Activation::Relu,
+        in_ports,
+        &mut scratch,
+    );
+    conv_window(
+        &mut out_ref,
+        &window,
+        &filters,
+        &bias,
+        Activation::Relu,
+        in_ports,
+        &mut scratch,
+    );
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&out_lanes),
+        bits(&out_ref),
+        "{case}/f32: lane kernel != conv_window bits"
+    );
+    let reps = 2_000;
+    let simd_ns = time_ns(reps, || {
+        conv_window_packed(
+            black_box(&mut out_lanes),
+            black_box(&window),
+            &packed,
+            bias.as_slice(),
+            Activation::Relu,
+            in_ports,
+            &mut scratch,
+        )
+    });
+    let scalar_ns = time_ns(reps, || {
+        conv_window(
+            black_box(&mut out_ref),
+            black_box(&window),
+            &filters,
+            &bias,
+            Activation::Relu,
+            in_ports,
+            &mut scratch,
+        )
+    });
+    ConvRow {
+        case: case.to_string(),
+        elem: "f32".to_string(),
+        baseline: "conv_window".to_string(),
         out_fm,
         window_len: kh * kw * in_fm,
         in_ports,
@@ -332,18 +431,18 @@ fn main() {
     let mut dot = Vec::new();
     for (case, out_fm, in_fm, in_ports, fc_len) in [("TC1", 16, 6, 6, 64), ("TC2", 36, 12, 1, 900)]
     {
-        conv.push(conv_case::<f32>(case, "f32", out_fm, 5, 5, in_fm, in_ports));
-        conv.push(conv_case::<Fixed16<8>>(
+        conv.push(conv_case_f32(case, out_fm, 5, 5, in_fm, in_ports));
+        conv.push(conv_case_fixed::<Fixed16<8>>(
             case, "q16f8", out_fm, 5, 5, in_fm, in_ports,
         ));
-        conv.push(conv_case::<Fixed8<4>>(
+        conv.push(conv_case_fixed::<Fixed8<4>>(
             case, "q8f4", out_fm, 5, 5, in_fm, in_ports,
         ));
         dot.push(dot_case::<f32>(case, "f32", fc_len));
         dot.push(dot_case::<Fixed16<8>>(case, "q16f8", fc_len));
         dot.push(dot_case::<Fixed8<4>>(case, "q8f4", fc_len));
     }
-    println!("packed conv window (SIMD dot vs scalar reduction):");
+    println!("packed conv window (f32: lanes vs conv_window; fixed: SIMD dot vs scalar):");
     println!(
         "{:<5} {:<6} {:>7} {:>9} {:>11} {:>11} {:>8}",
         "case", "elem", "out_fm", "win_len", "simd_ns", "scalar_ns", "speedup"
@@ -457,8 +556,9 @@ fn main() {
     };
     write_bench_record("kernels", &record);
 
-    // CI smoke contract: the fixed-point dot fast path must beat the
-    // forced-scalar reduction on the packed conv kernel in release builds
+    // CI smoke contracts, release builds only: the fixed-point dot fast
+    // path must beat the forced-scalar reduction on the packed conv
+    // kernel, and the f32 lane kernel the per-FM reference on TC-2 conv2
     if release {
         let worst = record
             .conv
@@ -473,6 +573,20 @@ fn main() {
         assert!(
             worst >= TARGET_CONV_SPEEDUP,
             "SIMD conv kernel regressed: {worst:.2}x < {TARGET_CONV_SPEEDUP:.1}x scalar"
+        );
+        let lanes = record
+            .conv
+            .iter()
+            .find(|r| r.case == "TC2" && r.elem == "f32")
+            .expect("the TC-2 f32 conv row is measured above")
+            .speedup;
+        println!(
+            "f32 lane conv speedup over conv_window (TC-2 conv2): {lanes:.2}x \
+             (target: >= {TARGET_F32_LANE_SPEEDUP:.1}x)"
+        );
+        assert!(
+            lanes >= TARGET_F32_LANE_SPEEDUP,
+            "f32 lane conv kernel regressed: {lanes:.2}x < {TARGET_F32_LANE_SPEEDUP:.1}x conv_window"
         );
     } else {
         println!("\n[skip] debug build: SIMD-vs-scalar margins are asserted in release only");

@@ -18,14 +18,20 @@
 //! on ingest, multiply-accumulate exactly in `i64` (`EXACT_SUM`), and
 //! saturate on the way out — which also unlocks the SIMD fast path
 //! ([`Numeric::dot_acc`]) because exact sums are order-independent.
+//! The `f32` kernels vectorise across output feature maps instead: every
+//! output runs the same summation schedule, so eight of them share one
+//! SIMD register without any output's order changing
+//! ([`conv_window_packed`], [`fc_forward_into`]).
 //! Transport between cores stays `f32`; conversions happen at each core's
 //! boundary, exactly where a fabric datapath would place its format
 //! converters.
 
+use core::ops::Add;
 use dfcnn_hls::accum::InterleavedBank;
 use dfcnn_hls::reduce::TreeAdder;
 use dfcnn_nn::act::Activation;
 use dfcnn_nn::layer::{Conv2d, Linear, Pool2d, PoolKind};
+use dfcnn_tensor::simd::LANES;
 use dfcnn_tensor::{Numeric, Shape3, Tensor1, Tensor3, Tensor4};
 
 /// Apply an activation in the element domain: evaluate in `f32` (the
@@ -64,17 +70,26 @@ pub fn scale_shift_hw<E: Numeric>(scale: E, shift: E, x: f32) -> f32 {
     (scale * E::from_f32(x) + shift).to_f32()
 }
 
-/// Conv filters repacked into the window layout `(f, dy, dx)` — the same
-/// order [`crate::sst::WindowEngine::extract`] writes the window buffer —
-/// and quantised into the element type once at build time.
+/// Conv filters packed once, at design/engine build time, into the one
+/// layout the element type's kernel reads, and quantised into the element
+/// type.
 ///
-/// With both operands in the same layout, Algorithm 1's group `g` reads one
-/// *contiguous* slice of each (`[g·P·KH·KW .. (g+1)·P·KH·KW]`), so the
-/// product loop is a straight element-wise multiply the compiler can
-/// auto-vectorise. The products are produced in exactly the order the
-/// unpacked loop produced them, so the tree-adder summation — and therefore
-/// every output bit — is unchanged ([`conv_window_packed`] vs
-/// [`conv_window`] is pinned by a test).
+/// Both layouts index a filter's values in window order `(f, dy, dx)` —
+/// the order [`crate::sst::WindowEngine::extract`] writes the window
+/// buffer — so Algorithm 1's group `g` covers window indices
+/// `[g·P·KH·KW .. (g+1)·P·KH·KW]` of both operands:
+///
+/// * **Rounding accumulators** (`f32`, `!E::EXACT_SUM`): k-blocked,
+///   `[block][i][lane]`. Filter `k = block·LANES + lane` has its window
+///   index `i` at `(block·filter_len + i)·LANES + lane`, where `LANES` is
+///   [`dfcnn_tensor::simd::LANES`]; the last block is zero-padded to
+///   `LANES` filters. One window value times one `LANES`-wide weight row
+///   gives the products of `LANES` output FMs side by side.
+/// * **Exact accumulators** (fixed point): f-major, filter `k` contiguous
+///   at `[k·filter_len ..]`, the row [`Numeric::dot_acc`] reads.
+///
+/// [`conv_window_packed`] vs [`conv_window`] is pinned bit for bit by
+/// proptests.
 #[derive(Clone, Debug)]
 pub struct PackedFilters<E = f32> {
     data: Vec<E>,
@@ -86,20 +101,29 @@ pub struct PackedFilters<E = f32> {
 }
 
 impl<E: Numeric> PackedFilters<E> {
-    /// Repack `filters` (native layout `(dy, dx, f)` per filter) into
-    /// window layout, quantising each weight. Done once per layer at
-    /// design/engine build time.
+    /// Repack `filters` (native layout `(dy, dx, f)` per filter) into the
+    /// element type's layout, quantising each weight.
     pub fn new(filters: &Tensor4<f32>) -> Self {
         let (k_count, kh, kw, in_fm) = (filters.k(), filters.kh(), filters.kw(), filters.c());
         let stride = kh * kw * in_fm;
-        let mut data = vec![E::zero(); k_count * stride];
+        let slots = if E::EXACT_SUM {
+            k_count
+        } else {
+            k_count.next_multiple_of(LANES)
+        };
+        let mut data = vec![E::zero(); slots * stride];
         for k in 0..k_count {
             let fk = filters.filter(k);
-            let dst = &mut data[k * stride..(k + 1) * stride];
             for f in 0..in_fm {
                 for dy in 0..kh {
                     for dx in 0..kw {
-                        dst[(f * kh + dy) * kw + dx] = E::from_f32(fk[(dy * kw + dx) * in_fm + f]);
+                        let i = (f * kh + dy) * kw + dx;
+                        let at = if E::EXACT_SUM {
+                            k * stride + i
+                        } else {
+                            ((k / LANES) * stride + i) * LANES + k % LANES
+                        };
+                        data[at] = E::from_f32(fk[(dy * kw + dx) * in_fm + f]);
                     }
                 }
             }
@@ -126,12 +150,6 @@ impl<E: Numeric> PackedFilters<E> {
     pub fn filter_len(&self) -> usize {
         self.stride
     }
-
-    /// Filter `k` in window layout.
-    #[inline]
-    pub fn filter(&self, k: usize) -> &[E] {
-        &self.data[k * self.stride..(k + 1) * self.stride]
-    }
 }
 
 /// Compute all `OUT_FM` outputs of a conv core for one window position,
@@ -148,8 +166,8 @@ impl<E: Numeric> PackedFilters<E> {
 /// `window` is in the [`crate::sst::WindowEngine::extract`] layout
 /// (`[(f·KH + dy)·KW + dx]`); `out` receives `OUT_FM` activated values.
 /// `scratch` must hold at least `2 · IN_PORTS · KH · KW` values (products
-/// plus tree-adder working space). This is the f32 *reference* form; the
-/// engines use [`conv_window_packed`].
+/// plus tree-adder working space). This is the f32 *reference* form, one
+/// output FM at a time; the engines use [`conv_window_packed`].
 #[allow(clippy::needless_range_loop)] // `k` indexes filters, bias and out in lockstep; zip() would obscure it
 pub fn conv_window(
     out: &mut [f32],
@@ -200,13 +218,22 @@ pub fn conv_window(
 /// [`conv_window`] with pre-packed filters: the steady-state form used by
 /// the execution engines, generic over the element type.
 ///
-/// For `f32` (`EXACT_SUM = false`) each group's products come from two
-/// contiguous slices multiplied element-wise — auto-vectorisable — while
-/// the product *order*, and hence the tree-adder rounding, is identical to
-/// [`conv_window`] bit for bit. For exact accumulators (fixed point) the
-/// group reduces through the SIMD dot kernel [`Numeric::dot_acc`]
-/// directly — order-independent, so still bit-identical to the scalar
-/// form ([`conv_window_packed_scalar`]).
+/// For `f32` (`EXACT_SUM = false`) the SIMD lanes run across output FMs:
+/// lanes `0..LANES` of a filter block compute FMs `k..k + LANES` side by
+/// side. Each window element gives one `LANES`-wide product, each group's
+/// products go through the tree adder's level loop on those lane arrays —
+/// the pairing and odd-element forwarding of
+/// [`TreeAdder::sum_in_place`], applied to every lane alike — and each
+/// group's root joins `LANES` bias-seeded accumulators. Every output FM
+/// therefore sees exactly the summation order of [`conv_window`] and is
+/// bit-identical to it. `scratch` must hold at least
+/// `LANES · IN_PORTS · KH · KW` accumulators, with `LANES` =
+/// [`dfcnn_tensor::simd::LANES`].
+///
+/// For exact accumulators (fixed point) each output reduces its whole
+/// window through the SIMD dot kernel [`Numeric::dot_acc`] in one call —
+/// order-independent, so still bit-identical to the scalar form
+/// ([`conv_window_packed_scalar`]); `scratch` is not touched.
 pub fn conv_window_packed<E: Numeric>(
     out: &mut [E],
     window: &[E],
@@ -228,11 +255,12 @@ pub fn conv_window_packed<E: Numeric>(
     )
 }
 
-/// [`conv_window_packed`] with the group reduction forced onto the plain
-/// scalar loop ([`Numeric::dot_acc_scalar`]): the baseline the SIMD path
-/// is proven equal to (proptests) and benchmarked against. For `f32` the
-/// dot kernels are not used at all (the tree adder defines the rounding),
-/// so both forms are the same function.
+/// [`conv_window_packed`] with the exact reduction forced onto the plain
+/// scalar loop ([`Numeric::dot_acc_scalar`]): the baseline the fixed-point
+/// SIMD path is proven equal to (proptests) and benchmarked against. For
+/// `f32` the dot kernels are not used at all (the tree adder defines the
+/// rounding), so both forms run the same lane kernel; its baseline is the
+/// per-FM reference [`conv_window`].
 pub fn conv_window_packed_scalar<E: Numeric>(
     out: &mut [E],
     window: &[E],
@@ -267,45 +295,83 @@ fn conv_window_packed_impl<E: Numeric>(
     // kernel inlined into the filter loop
     dot: impl Fn(&[E], &[E]) -> E::Acc,
 ) {
-    let k_count = filters.k();
     let flen = filters.filter_len();
     let in_fm = flen / filters.window();
-    assert_eq!(out.len(), k_count, "output buffer length mismatch");
+    assert_eq!(out.len(), filters.k(), "output buffer length mismatch");
     assert_eq!(window.len(), flen, "window length mismatch");
-    assert_eq!(bias.len(), k_count, "bias length mismatch");
+    assert_eq!(bias.len(), filters.k(), "bias length mismatch");
     assert_eq!(in_fm % in_ports, 0, "ports must divide channels");
+    if E::EXACT_SUM {
+        // exact accumulation: order-free, so the whole contiguous window
+        // goes through the dot fast path in one call — the group
+        // decomposition only matters when order matters
+        for ((slot, &b), fk) in out
+            .iter_mut()
+            .zip(bias)
+            .zip(filters.data.chunks_exact(flen))
+        {
+            *slot = activate(activation, E::narrow(b.widen() + dot(fk, window)));
+        }
+        return;
+    }
     let group_len = in_ports * filters.window();
     assert!(
-        scratch.len() >= group_len,
-        "scratch must hold IN_PORTS * KH * KW values"
+        scratch.len() >= LANES * group_len,
+        "scratch must hold LANES * IN_PORTS * KH * KW values"
     );
-    let groups = in_fm / in_ports;
-    let tree = TreeAdder::new(group_len);
-    let prods = &mut scratch[..group_len];
-    for (k, slot) in out.iter_mut().enumerate() {
-        let mut acc = bias[k].widen();
-        let fk = filters.filter(k);
-        if E::EXACT_SUM {
-            // exact accumulation: order-free, so the whole contiguous
-            // window goes through the dot fast path in one call — the
-            // group decomposition only matters when order matters
-            acc = acc + dot(fk, window);
-        } else {
-            for g in 0..groups {
-                let base = g * group_len;
-                let wg = &window[base..base + group_len];
-                let fg = &fk[base..base + group_len];
-                // rounding accumulation: products into scratch, then the
-                // hardware's tree-adder order — bit-identical to the
-                // unpacked reference
-                for ((p, &w), &f) in prods.iter_mut().zip(wg).zip(fg) {
-                    *p = f.mul_full(w);
-                }
-                acc = acc + tree.sum_in_place(prods);
+    let (prods, _) = scratch[..LANES * group_len].as_chunks_mut::<LANES>();
+    let (rows, _) = filters.data.as_chunks::<LANES>();
+    for ((outs, biases), block) in out
+        .chunks_mut(LANES)
+        .zip(bias.chunks(LANES))
+        .zip(rows.chunks_exact(flen))
+    {
+        // padded lanes start at zero and are never emitted
+        let mut acc: [E::Acc; LANES] =
+            core::array::from_fn(|l| biases.get(l).map_or_else(E::Acc::default, |b| b.widen()));
+        for (wg, fg) in window
+            .chunks_exact(group_len)
+            .zip(block.chunks_exact(group_len))
+        {
+            // buf <- IN_PORTS windows times LANES filters' weights
+            for ((p, &w), f) in prods.iter_mut().zip(wg).zip(fg) {
+                *p = core::array::from_fn(|l| f[l].mul_full(w));
             }
+            // outputs += reduce(buf), lane by lane in tree-adder order
+            acc = add_lanes(acc, lane_tree_sum(prods));
         }
-        *slot = activate(activation, E::narrow(acc));
+        for (slot, &a) in outs.iter_mut().zip(&acc) {
+            *slot = activate(activation, E::narrow(a));
+        }
     }
+}
+
+/// Lane-wise `a + b`.
+#[inline(always)]
+fn add_lanes<A: Copy + Add<Output = A>>(a: [A; LANES], b: [A; LANES]) -> [A; LANES] {
+    core::array::from_fn(|l| a[l] + b[l])
+}
+
+/// [`TreeAdder::sum_in_place`]'s level loop with every value a lane
+/// array: each level writes slot `i` from slots `2i` and `2i + 1` and
+/// forwards an odd last slot, so lane `l`'s result is bit-identical to the
+/// scalar tree over lane `l`'s values. Destroys the buffer's contents.
+#[inline(always)]
+fn lane_tree_sum<A: Copy + Add<Output = A>>(values: &mut [[A; LANES]]) -> [A; LANES] {
+    let mut len = values.len();
+    while len > 1 {
+        let half = len / 2;
+        for i in 0..half {
+            values[i] = add_lanes(values[2 * i], values[2 * i + 1]);
+        }
+        if len % 2 == 1 {
+            values[half] = values[len - 1];
+            len = half + 1;
+        } else {
+            len = half;
+        }
+    }
+    values[0]
 }
 
 /// Pooling of one per-channel window (`KH·KW` values in `(dy, dx)` order).
@@ -323,60 +389,55 @@ pub fn pool_window<E: Numeric>(kind: PoolKind, values: &[E]) -> E {
     }
 }
 
-/// Reusable state for the FC hardware-order forward: the weight matrix in
-/// both input-major order (`wt`, so the per-input inner loop over the
-/// `OUT_FM` accumulators reads one contiguous row — the f32 interleaved
-/// path) and output-major order (`rows`, so the exact path's per-output
-/// dot reads one contiguous row — the fixed-point SIMD path), the
-/// quantised bias, the interleaved accumulator banks and the merge-tree
-/// scratch. Constructed once per stage; [`fc_forward_into`] then
-/// allocates nothing.
+/// Reusable state for the FC hardware-order forward, constructed once per
+/// stage; [`fc_forward_into`] then allocates nothing.
+///
+/// The weight matrix is kept in the one layout the element type's kernel
+/// reads: input-major (`weights[i · OUT_FM + j]`) for rounding
+/// accumulators (`f32`), so one input value's products for every output
+/// come from one contiguous row, and output-major
+/// (`weights[j · inputs + i]`) for exact accumulators (fixed point), the
+/// row [`Numeric::dot_acc`] reads. For `f32` the arena also holds the
+/// interleaved accumulators as one bank-major partial-sum buffer
+/// (`partials[bank · OUT_FM + j]`) and the merge tree's scratch; both are
+/// empty for exact accumulators.
 #[derive(Clone, Debug)]
 pub struct FcArena<E: Numeric = f32> {
-    /// `weights[j][i]` transposed to `wt[i * j_count + j]`.
-    wt: Vec<E>,
-    /// `weights[j][i]` at `rows[j * inputs + i]` (exact-dot path only;
-    /// empty when `E::EXACT_SUM` is false).
-    rows: Vec<E>,
+    weights: Vec<E>,
     bias: Vec<E>,
     j_count: usize,
     inputs: usize,
     /// Quantised input staging buffer.
     xq: Vec<E>,
-    accs: Vec<InterleavedBank<E::Acc>>,
+    partials: Vec<E::Acc>,
     merge: Vec<E::Acc>,
 }
 
 impl<E: Numeric> FcArena<E> {
-    /// Quantise weights and bias, and size the accumulator bank.
+    /// Quantise weights and bias, and size the accumulator banks.
     pub fn new(weights: &Tensor4<f32>, bias: &Tensor1<f32>, banks: usize) -> Self {
+        assert!(banks >= 1, "need at least one accumulator");
         let (j_count, inputs) = (weights.k(), weights.c());
         assert_eq!(bias.len(), j_count, "bias length mismatch");
-        let mut wt = vec![E::zero(); j_count * inputs];
+        let mut packed = vec![E::zero(); j_count * inputs];
         for j in 0..j_count {
             for i in 0..inputs {
-                wt[i * j_count + j] = E::from_f32(weights.get(j, 0, 0, i));
+                let at = if E::EXACT_SUM {
+                    j * inputs + i
+                } else {
+                    i * j_count + j
+                };
+                packed[at] = E::from_f32(weights.get(j, 0, 0, i));
             }
         }
-        let rows = if E::EXACT_SUM {
-            let mut rows = vec![E::zero(); j_count * inputs];
-            for j in 0..j_count {
-                for i in 0..inputs {
-                    rows[j * inputs + i] = E::from_f32(weights.get(j, 0, 0, i));
-                }
-            }
-            rows
-        } else {
-            Vec::new()
-        };
+        let banks = if E::EXACT_SUM { 0 } else { banks };
         FcArena {
-            wt,
-            rows,
+            weights: packed,
             bias: bias.as_slice().iter().map(|&b| E::from_f32(b)).collect(),
             j_count,
             inputs,
             xq: vec![E::zero(); inputs],
-            accs: vec![InterleavedBank::new(banks); j_count],
+            partials: vec![E::Acc::default(); banks * j_count],
             merge: vec![E::Acc::default(); banks],
         }
     }
@@ -392,15 +453,21 @@ impl<E: Numeric> FcArena<E> {
     }
 }
 
-/// The FC core's computation (§IV-B), allocation-free. For `f32`: for each
-/// output FM an interleaved accumulator bank fed one product per input
-/// value, merged by a tree adder, plus bias and activation — products in
-/// the same order as [`fc_forward`], same merge pairing, so bit-identical
-/// to the allocating form. For exact accumulators (fixed point): one
-/// straight SIMD dot per output row ([`Numeric::dot_acc`]), which equals
-/// the interleaved order exactly because integer addition is associative —
-/// the paper's §IV-B point that the accumulation-latency workaround is
-/// unnecessary in integer arithmetic, executed.
+/// The FC core's computation (§IV-B), allocation-free.
+///
+/// For `f32`: input `i` feeds its products for every output FM into bank
+/// `i mod banks` of that output's interleaved accumulators — one
+/// contiguous multiply-add over the outputs per input, so the lanes run
+/// across output FMs. Each output's partials are then merged by the same
+/// tree-adder pairing [`InterleavedBank::total_with_scratch`] uses, plus
+/// bias and activation. Every output sees the products, bank assignment
+/// and merge order of [`fc_forward`], so the two are bit-identical.
+///
+/// For exact accumulators (fixed point): one straight SIMD dot per output
+/// row ([`Numeric::dot_acc`]), which equals the interleaved order exactly
+/// because integer addition is associative — the paper's §IV-B point that
+/// the accumulation-latency workaround is unnecessary in integer
+/// arithmetic, executed.
 pub fn fc_forward_into<E: Numeric>(
     out: &mut [f32],
     arena: &mut FcArena<E>,
@@ -414,25 +481,42 @@ pub fn fc_forward_into<E: Numeric>(
         *q = E::from_f32(x);
     }
     if E::EXACT_SUM {
-        for (j, o) in out.iter_mut().enumerate() {
-            let row = &arena.rows[j * arena.inputs..(j + 1) * arena.inputs];
-            let acc = arena.bias[j].widen() + E::dot_acc(row, &arena.xq);
+        for ((o, &b), row) in out
+            .iter_mut()
+            .zip(&arena.bias)
+            .zip(arena.weights.chunks_exact(arena.inputs))
+        {
+            let acc = b.widen() + E::dot_acc(row, &arena.xq);
             *o = activate(activation, E::narrow(acc)).to_f32();
         }
     } else {
-        for acc in arena.accs.iter_mut() {
-            acc.reset();
-        }
-        for (i, &x) in arena.xq.iter().enumerate() {
-            // all OUT_FM 1x1 convolutions of this input value in the same cycle
-            let row = &arena.wt[i * j_count..(i + 1) * j_count];
-            for (acc, &w) in arena.accs.iter_mut().zip(row) {
-                acc.push(w.mul_full(x));
+        let banks = arena.merge.len();
+        arena.partials.fill(E::Acc::default());
+        for (i, (&x, row)) in arena
+            .xq
+            .iter()
+            .zip(arena.weights.chunks_exact(j_count))
+            .enumerate()
+        {
+            // all OUT_FM 1x1 convolutions of this input value in the same
+            // cycle, each into its output's bank i mod banks
+            let bank = i % banks;
+            let partial = &mut arena.partials[bank * j_count..(bank + 1) * j_count];
+            for (p, &w) in partial.iter_mut().zip(row) {
+                *p = *p + w.mul_full(x);
             }
         }
-        for (j, acc) in arena.accs.iter().enumerate() {
-            let total = acc.total_with_scratch(&mut arena.merge) + arena.bias[j].widen();
-            out[j] = activate(activation, E::narrow(total)).to_f32();
+        let tree = TreeAdder::new(banks);
+        for (j, o) in out.iter_mut().enumerate() {
+            for (m, bank) in arena
+                .merge
+                .iter_mut()
+                .zip(arena.partials.chunks_exact(j_count))
+            {
+                *m = bank[j];
+            }
+            let total = tree.sum_in_place(&mut arena.merge) + arena.bias[j].widen();
+            *o = activate(activation, E::narrow(total)).to_f32();
         }
     }
 }
@@ -488,7 +572,15 @@ impl<E: Numeric> ConvArena<E> {
                 .map(|&b| E::from_f32(b))
                 .collect(),
             window: vec![E::zero(); geo.window_volume()],
-            scratch: vec![E::Acc::default(); in_ports * geo.kh * geo.kw],
+            // the lane kernel's product rows; exact types never touch it
+            scratch: vec![
+                E::Acc::default();
+                if E::EXACT_SUM {
+                    0
+                } else {
+                    LANES * in_ports * geo.kh * geo.kw
+                }
+            ],
             outvals: vec![E::zero(); conv.out_maps()],
         }
     }
@@ -753,6 +845,7 @@ mod tests {
     use dfcnn_nn::act::Activation;
     use dfcnn_tensor::Element;
     use dfcnn_tensor::{ConvGeometry, Fixed16, Fixed8, Shape3};
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -841,45 +934,6 @@ mod tests {
     }
 
     #[test]
-    fn conv_window_packed_bit_identical_to_unpacked() {
-        // the packed form must not change a single bit, whatever the port
-        // grouping — same products, same tree-adder order
-        let (conv, x) = random_conv(7, 6, 4, 5);
-        let geo = *conv.geometry();
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let packed = PackedFilters::<f32>::new(conv.filters());
-        for in_ports in [1usize, 2, 3, 6] {
-            let mut window = vec![0.0f32; geo.window_volume()];
-            for v in window.iter_mut() {
-                *v = dfcnn_tensor::init::random_vector(&mut rng, 1, -1.0, 1.0).get(0);
-            }
-            let mut out_ref = vec![0.0f32; conv.out_maps()];
-            let mut out_packed = vec![0.0f32; conv.out_maps()];
-            let mut scratch = vec![0.0f32; 2 * in_ports * geo.kh * geo.kw];
-            conv_window(
-                &mut out_ref,
-                &window,
-                conv.filters(),
-                conv.bias(),
-                conv.activation(),
-                in_ports,
-                &mut scratch,
-            );
-            conv_window_packed(
-                &mut out_packed,
-                &window,
-                &packed,
-                conv.bias().as_slice(),
-                conv.activation(),
-                in_ports,
-                &mut scratch,
-            );
-            assert_eq!(out_ref, out_packed, "in_ports = {in_ports}");
-        }
-        let _ = x;
-    }
-
-    #[test]
     fn conv_hw_into_bit_identical_with_padding_and_stride() {
         // the strided fast path + padded slow path must agree with the
         // plain get_padded window build, bit for bit
@@ -926,24 +980,6 @@ mod tests {
             let mut got2 = Tensor3::zeros(conv.output_shape());
             conv_forward_hw_into(&conv, 2, &x, &mut got2, &mut arena);
             assert_eq!(got2, reference);
-        }
-    }
-
-    #[test]
-    fn fc_forward_into_bit_identical_to_fc_forward() {
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let w = dfcnn_tensor::init::linear_weights(&mut rng, 90, 7);
-        let b = dfcnn_tensor::init::random_vector(&mut rng, 7, -0.1, 0.1);
-        let x = dfcnn_tensor::init::random_volume(&mut rng, Shape3::new(1, 1, 90), -1.0, 1.0);
-        for banks in [1usize, 4, 11] {
-            let reference = fc_forward(&w, &b, Activation::Tanh, x.as_slice(), banks);
-            let mut arena = FcArena::<f32>::new(&w, &b, banks);
-            let mut out = vec![0.0f32; 7];
-            fc_forward_into(&mut out, &mut arena, Activation::Tanh, x.as_slice());
-            assert_eq!(out, reference, "banks = {banks}");
-            // arena reuse: second call must reset cleanly
-            fc_forward_into(&mut out, &mut arena, Activation::Tanh, x.as_slice());
-            assert_eq!(out, reference);
         }
     }
 
@@ -1006,6 +1042,102 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(out, vec![0.5, -0.5]);
+    }
+
+    // ---- f32 lanes across OUT_FM: bit-exactness ------------------------
+
+    /// A value stream mixing uniform normals with the IEEE corner cases
+    /// the lane kernel must round exactly like the scalar tree: signed
+    /// zeros, subnormals and (where `inf` is set) infinities. `special` is
+    /// the chance a value is drawn from the corner cases.
+    fn corner_values(seed: u64, special: f64, inf: bool) -> impl FnMut() -> f32 {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let corners: &'static [f32] = if inf {
+            &[
+                0.0,
+                -0.0,
+                1e-40,
+                -1e-40,
+                f32::MIN_POSITIVE,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+            ]
+        } else {
+            &[0.0, -0.0, 1e-40, -1e-40, f32::MIN_POSITIVE]
+        };
+        move || {
+            if rng.gen_bool(special) {
+                corners[rng.gen_range(0..corners.len())]
+            } else {
+                rng.gen_range(-1.0f32..1.0)
+            }
+        }
+    }
+
+    /// Bitwise equality (`to_bits`, so `-0.0` vs `+0.0` is a mismatch). Any
+    /// two NaNs match: Rust leaves NaN payloads unspecified, so their bits
+    /// are no part of the kernels' contract.
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn conv_lanes_bit_identical_to_conv_window(
+            (k, kh, kw, in_fm, in_ports) in (1usize..=40, 1usize..=3, 1usize..=3, 1usize..=6)
+                .prop_flat_map(|(k, kh, kw, in_fm)| {
+                    let ports: Vec<usize> = (1..=in_fm).filter(|p| in_fm % p == 0).collect();
+                    (Just(k), Just(kh), Just(kw), Just(in_fm), proptest::sample::select(ports))
+                }),
+            special in proptest::sample::select(vec![0.0, 0.125, 0.5, 1.0]),
+            act in proptest::sample::select(vec![Activation::Identity, Activation::Relu, Activation::Tanh]),
+            seed in 0u64..1 << 32,
+        ) {
+            let mut weight = corner_values(seed, special, false);
+            let filters = Tensor4::from_fn(k, kh, kw, in_fm, |_, _, _, _| weight());
+            let bias = Tensor1::from_fn(k, |_| weight());
+            let mut value = corner_values(seed ^ 1, special, true);
+            let window: Vec<f32> = (0..kh * kw * in_fm).map(|_| value()).collect();
+            let mut scratch = vec![0.0f32; LANES * in_ports * kh * kw];
+            let mut reference = vec![0.0f32; k];
+            conv_window(&mut reference, &window, &filters, &bias, act, in_ports, &mut scratch);
+            let packed = PackedFilters::<f32>::new(&filters);
+            let mut lanes = vec![0.0f32; k];
+            conv_window_packed(&mut lanes, &window, &packed, bias.as_slice(), act, in_ports, &mut scratch);
+            prop_assert!(
+                same_bits(&lanes, &reference),
+                "k={} {}x{}x{} ports={}: {:?} vs {:?}", k, kh, kw, in_fm, in_ports, lanes, reference
+            );
+        }
+
+        #[test]
+        fn fc_banks_bit_identical_to_fc_forward(
+            banks in proptest::sample::select(vec![1usize, 2, 11, 16]),
+            inputs in 1usize..=40,
+            outputs in 1usize..=20,
+            special in proptest::sample::select(vec![0.0, 0.125, 0.5, 1.0]),
+            act in proptest::sample::select(vec![Activation::Identity, Activation::Relu, Activation::Tanh]),
+            seed in 0u64..1 << 32,
+        ) {
+            prop_assume!(banks == 1 || inputs % banks != 0);
+            let mut weight = corner_values(seed, special, false);
+            let w = Tensor4::from_fn(outputs, 1, 1, inputs, |_, _, _, _| weight());
+            let b = Tensor1::from_fn(outputs, |_| weight());
+            let mut value = corner_values(seed ^ 1, special, true);
+            let x: Vec<f32> = (0..inputs).map(|_| value()).collect();
+            let reference = fc_forward(&w, &b, act, &x, banks);
+            let mut arena = FcArena::<f32>::new(&w, &b, banks);
+            let mut out = vec![0.0f32; outputs];
+            fc_forward_into(&mut out, &mut arena, act, &x);
+            prop_assert!(same_bits(&out, &reference), "{:?} vs {:?}", out, reference);
+            // arena reuse: the partials must reset between images
+            fc_forward_into(&mut out, &mut arena, act, &x);
+            prop_assert!(same_bits(&out, &reference), "reuse: {:?} vs {:?}", out, reference);
+        }
     }
 
     // ---- fixed-point instantiations -----------------------------------
