@@ -56,10 +56,11 @@
 use crate::graph::{NetworkDesign, StageInput};
 use crate::model::{self, HostStage, StageWorker};
 use crate::observe::live::{LiveMetrics, MetricCell, MetricUnit, Sampler};
-use crate::trace::IntervalStats;
+use crate::observe::StageRecord;
 use dfcnn_tensor::Tensor3;
 use serde::{Deserialize, Serialize};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Result of streaming a batch through the threaded engine.
@@ -169,7 +170,8 @@ pub enum Schedule {
     Adaptive { threads: usize },
 }
 
-/// Measured behaviour of one pipeline stage during a run.
+/// Measured behaviour of one pipeline stage during a run: the run's delta
+/// of the stage's live cell, plus the plan and the histogram maximum.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StageProfile {
     /// Stage name (`conv1`, `pool1`, `flatten`, `fc1`, …).
@@ -181,24 +183,46 @@ pub struct StageProfile {
     /// Mean per-image service time in nanoseconds — the host analogue of
     /// the stage interval Fig. 6 converges to.
     pub mean_interval_ns: u64,
-    /// Worst single-image service time in nanoseconds.
+    /// Worst single-image service time in nanoseconds, from the cell's
+    /// interval histogram: a plane reused across runs reports the maximum
+    /// since the plane was built.
     pub max_interval_ns: u64,
-    /// Mean time a worker spent blocked waiting for input, per image.
-    pub mean_queue_wait_ns: u64,
-    /// Mean time a worker spent blocked sending its output downstream,
-    /// per image — the host analogue of fabric backpressure.
-    pub mean_send_wait_ns: u64,
-    /// Exact total service time across workers in nanoseconds. The means
-    /// above are integer divisions; the totals are what reconcile exactly
-    /// with the live telemetry cells and [`crate::observe::RunReport`].
+    /// Exact total service time across workers in nanoseconds.
     pub service_total_ns: u64,
-    /// Exact total input-wait time across workers in nanoseconds.
+    /// Exact total time workers spent blocked waiting for input.
     pub queue_wait_total_ns: u64,
-    /// Exact total send-wait time across workers in nanoseconds.
+    /// Exact total time workers spent blocked sending output downstream —
+    /// the host analogue of fabric backpressure.
     pub send_wait_total_ns: u64,
 }
 
 impl StageProfile {
+    /// A row from the run's delta of the stage's cell.
+    fn new(rec: StageRecord, replication: usize, max_interval_ns: u64) -> Self {
+        StageProfile {
+            replication,
+            images: rec.items,
+            mean_interval_ns: rec.per_item(rec.service),
+            max_interval_ns,
+            service_total_ns: rec.service,
+            queue_wait_total_ns: rec.queue_wait,
+            send_wait_total_ns: rec.send_wait,
+            name: rec.name,
+        }
+    }
+
+    /// The row's additive counters, in nanoseconds (idle is 0 on the host).
+    pub fn record(&self) -> StageRecord {
+        StageRecord {
+            name: self.name.clone(),
+            items: self.images,
+            service: self.service_total_ns,
+            queue_wait: self.queue_wait_total_ns,
+            send_wait: self.send_wait_total_ns,
+            idle: 0,
+        }
+    }
+
     /// Effective interval the stage contributes to the pipeline bound:
     /// `mean / replication` (replicated workers overlap in time).
     pub fn effective_interval_ns(&self) -> u64 {
@@ -239,6 +263,7 @@ impl PipelineProfile {
             "stage      repl  images  mean_us    max_us     wait_us    send_us    eff_us\n",
         );
         for s in &self.stages {
+            let r = s.record();
             out.push_str(&format!(
                 "{:<10} {:>4} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1}\n",
                 s.name,
@@ -246,8 +271,8 @@ impl PipelineProfile {
                 s.images,
                 s.mean_interval_ns as f64 / 1e3,
                 s.max_interval_ns as f64 / 1e3,
-                s.mean_queue_wait_ns as f64 / 1e3,
-                s.mean_send_wait_ns as f64 / 1e3,
+                r.per_item(r.queue_wait) as f64 / 1e3,
+                r.per_item(r.send_wait) as f64 / 1e3,
                 s.effective_interval_ns() as f64 / 1e3,
             ));
         }
@@ -314,13 +339,6 @@ fn bundle_plans(stages: &[HostStage]) -> Vec<StagePlan> {
     plans
 }
 
-/// Timing gathered by one worker thread.
-struct WorkerStats {
-    busy: IntervalStats,
-    wait: IntervalStats,
-    send: IntervalStats,
-}
-
 /// Channel matrix for one stage boundary: `pc` producers × `cc` consumers.
 /// Returns (per-producer sender rows, per-consumer receiver columns);
 /// `rows[p][c]` feeds `cols[c][p]`.
@@ -344,7 +362,8 @@ fn boundary<'a>(pc: usize, cc: usize, depth: usize) -> (TxRows<'a>, RxCols<'a>) 
 /// factor `r` serves exactly the images `j ≡ w (mod r)`, in increasing
 /// order; image `j` arrives on the channel from producer `j mod r_prev`
 /// and leaves on the channel to consumer `j mod r_next`. That fixed
-/// dealing rule is what keeps outputs in input order with no tags.
+/// dealing rule is what keeps outputs in input order with no tags. The
+/// worker bills its measured times and images to the stage's `cell`.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     stage: &HostStage,
@@ -354,16 +373,13 @@ fn worker_loop(
     rx_col: Vec<Receiver<Msg<'_>>>,
     tx_row: Vec<SyncSender<Msg<'_>>>,
     channel_depth: usize,
-    cell: Option<&MetricCell>,
-) -> WorkerStats {
+    cell: &MetricCell,
+) {
     let mut worker = stage.spec.make_worker();
     let (r_prev, r_next) = (rx_col.len(), tx_row.len());
     // buffers in flight from this worker: channel depth per consumer link
     // plus one being read at each consumer, plus bundle survivors
     let (free_tx, free_rx) = sync_channel::<Tensor3<f32>>(2 * r_next * (channel_depth + 1) + 2);
-    let mut busy = IntervalStats::new();
-    let mut wait = IntervalStats::new();
-    let mut send = IntervalStats::new();
     let mut k = 0u64;
     loop {
         let j = w as u64 + k * r_mine as u64;
@@ -372,13 +388,7 @@ fn worker_loop(
             Ok(m) => m,
             Err(_) => break, // upstream done
         };
-        // live cells receive the same measured u64s as the IntervalStats,
-        // so cumulative cell totals reconcile with the profile exactly
-        let dt_wait = t0.elapsed().as_nanos() as u64;
-        wait.record(dt_wait);
-        if let Some(c) = cell {
-            c.add_queue_wait(dt_wait);
-        }
+        cell.add_queue_wait(t0.elapsed().as_nanos() as u64);
         // reuse a recycled buffer — but only one of our own shape: a
         // bundle survivor recycles to its *last carrier*, which may not
         // be its creator, so foreign-shaped buffers are simply dropped
@@ -400,13 +410,7 @@ fn worker_loop(
                 worker.apply_multi(&refs, &mut out);
             }
         }
-        let dt_busy = t1.elapsed().as_nanos() as u64;
-        busy.record(dt_busy);
-        if let Some(c) = cell {
-            c.add_service(dt_busy);
-            c.add_items(1);
-            c.record_interval(dt_busy);
-        }
+        cell.add_image(t1.elapsed().as_nanos() as u64);
         // rebuild the bundle: survivors in plan order, own output last;
         // everything else goes back to the producer's pool (best effort:
         // a full or disconnected free-list just drops the buffer)
@@ -434,14 +438,9 @@ fn worker_loop(
         if sent.is_err() {
             break; // downstream done
         }
-        let dt_send = t2.elapsed().as_nanos() as u64;
-        send.record(dt_send);
-        if let Some(c) = cell {
-            c.add_send_wait(dt_send);
-        }
+        cell.add_send_wait(t2.elapsed().as_nanos() as u64);
         k += 1;
     }
-    WorkerStats { busy, wait, send }
 }
 
 /// The engine itself; construct per design, run per batch.
@@ -449,8 +448,9 @@ pub struct ThreadedEngine {
     stages: Vec<HostStage>,
     plans: Vec<StagePlan>,
     channel_depth: usize,
-    /// Live telemetry cells (one per stage) every run mirrors into.
-    live: Option<std::sync::Arc<LiveMetrics>>,
+    /// Live telemetry cells (one per stage) every run bills; without
+    /// them each run bills a private plane.
+    live: Option<Arc<LiveMetrics>>,
 }
 
 /// Images the adaptive runner executes sequentially before it reads the
@@ -479,17 +479,18 @@ impl ThreadedEngine {
     /// A fresh live metrics plane matching this engine's stages (unit:
     /// wall-clock nanoseconds), for [`ThreadedEngine::with_live`] or a
     /// [`crate::observe::live::SpawnedSampler`].
-    pub fn live_metrics(&self) -> std::sync::Arc<LiveMetrics> {
+    pub fn live_metrics(&self) -> Arc<LiveMetrics> {
         LiveMetrics::new(
             MetricUnit::Nanos,
             self.stages.iter().map(|s| s.spec.name.clone()).collect(),
         )
     }
 
-    /// Mirror every worker's measured service/wait times, image counts
-    /// and per-image service histogram into `live` during runs. The cells
-    /// must have been built for this engine's stage list.
-    pub fn with_live(mut self, live: std::sync::Arc<LiveMetrics>) -> Self {
+    /// Bill every worker's measured service/wait times, image counts and
+    /// per-image service histogram to `live` during runs, instead of to a
+    /// private per-run plane. The cells must have been built for this
+    /// engine's stage list.
+    pub fn with_live(mut self, live: Arc<LiveMetrics>) -> Self {
         assert_eq!(
             live.len(),
             self.stages.len(),
@@ -511,30 +512,70 @@ impl ThreadedEngine {
 
     /// Stream a batch under `schedule`, returning the outputs and the
     /// per-stage profile. Outputs are in input order and bit-identical to
-    /// [`Schedule::Sequential`] under every schedule. Live cells attached
-    /// with [`ThreadedEngine::with_live`] see every image exactly once;
-    /// the balanced planning pre-pass does not touch them.
+    /// [`Schedule::Sequential`] under every schedule. The run bills the
+    /// cells attached with [`ThreadedEngine::with_live`] (or a private
+    /// plane) once per image — the balanced planning pre-pass bills a
+    /// plane of its own — and the profile is that plane's delta over the
+    /// run.
     pub fn run(
         &self,
         images: &[Tensor3<f32>],
         schedule: &Schedule,
     ) -> (ExecResult, PipelineProfile) {
-        let live = self.live.as_deref();
-        match schedule {
-            Schedule::Sequential => self.run_sequential_live(images, live),
-            Schedule::Fixed(plan) => self.run_with_plan_live(images, plan, live),
-            Schedule::Balanced { threads } => {
-                if !Self::should_pipeline(*threads, self.stages.len()) {
-                    return self.run_sequential_live(images, live);
-                }
-                let warmup = &images[..images.len().min(2)];
-                let (_, pre) = self.run_sequential_live(warmup, None);
-                let means: Vec<u64> = pre.stages.iter().map(|s| s.mean_interval_ns).collect();
-                let plan = ReplicationPlan::balanced(&means, *threads);
-                self.run_with_plan_live(images, &plan, live)
+        assert!(!images.is_empty(), "empty batch");
+        assert!(!self.stages.is_empty(), "design has no pipeline stages");
+        let n = self.stages.len();
+        let pipelines = |threads: usize| Self::should_pipeline(threads, n);
+        let pass = match *schedule {
+            Schedule::Fixed(ref plan) => Pass::Pipelined(plan.clone()),
+            Schedule::Balanced { threads } if pipelines(threads) => {
+                Pass::Pipelined(self.balanced_plan(images, threads))
             }
-            Schedule::Adaptive { threads } => self.run_adaptive(images, *threads),
-        }
+            // tiny batches never outrun their warmup
+            Schedule::Adaptive { threads }
+                if pipelines(threads) && images.len() > ADAPTIVE_WARMUP =>
+            {
+                Pass::Adaptive(threads)
+            }
+            _ => Pass::Sequential,
+        };
+        let live = self.live.clone().unwrap_or_else(|| self.live_metrics());
+        let before = live.totals();
+        let start = Instant::now();
+        let (outputs, completion_times, plan) = match pass {
+            Pass::Sequential => {
+                let (outs, times) = self.sequential_pass(images, &live, start);
+                (outs, times, ReplicationPlan::uniform(n))
+            }
+            Pass::Pipelined(plan) => {
+                let (outs, times) = self.pipelined_pass(images, &plan, &live, start);
+                (outs, times, plan)
+            }
+            Pass::Adaptive(threads) => self.adaptive_pass(images, threads, &live, start),
+        };
+        let total = start.elapsed();
+        let stages = live
+            .totals()
+            .iter()
+            .zip(&before)
+            .zip(&plan.factors)
+            .enumerate()
+            .map(|(s, ((now, then), &replication))| {
+                let max = live.cell(s).interval_stats().max_ns;
+                StageProfile::new(now.delta_since(then), replication, max)
+            })
+            .collect();
+        let profile = PipelineProfile {
+            stages,
+            batch: outputs.len(),
+            total_ns: total.as_nanos() as u64,
+        };
+        let result = ExecResult {
+            outputs,
+            completion_times,
+            total,
+        };
+        (result, profile)
     }
 
     /// [`Schedule::Balanced`] sized to the machine's parallelism.
@@ -547,9 +588,7 @@ impl ThreadedEngine {
         )
     }
 
-    /// [`Schedule::Sequential`] without the profile. Uses the same arenas
-    /// and staging buffers as the pipeline workers, so it is equally
-    /// allocation-free per image apart from the owned output clone.
+    /// [`Schedule::Sequential`] without the profile.
     pub fn run_sequential(&self, images: &[Tensor3<f32>]) -> ExecResult {
         self.run(images, &Schedule::Sequential).0
     }
@@ -562,14 +601,29 @@ impl ThreadedEngine {
         threads > 1 && stages > 1
     }
 
-    fn run_with_plan_live(
+    /// [`Schedule::Balanced`]'s planning pre-pass: time every stage
+    /// sequentially on the first two images. It bills a private plane, so
+    /// the run's plane counts each image of the batch exactly once.
+    fn balanced_plan(&self, images: &[Tensor3<f32>], threads: usize) -> ReplicationPlan {
+        let warm = self.live_metrics();
+        self.sequential_pass(&images[..images.len().min(2)], &warm, Instant::now());
+        let means: Vec<u64> = warm
+            .totals()
+            .iter()
+            .map(|r| r.per_item(r.service))
+            .collect();
+        ReplicationPlan::balanced(&means, threads)
+    }
+
+    /// Stream `images` through the thread pipeline under `plan`, billing
+    /// `live`; completion times count from `start`.
+    fn pipelined_pass(
         &self,
         images: &[Tensor3<f32>],
         plan: &ReplicationPlan,
-        live: Option<&LiveMetrics>,
-    ) -> (ExecResult, PipelineProfile) {
-        assert!(!images.is_empty(), "empty batch");
-        assert!(!self.stages.is_empty(), "design has no pipeline stages");
+        live: &LiveMetrics,
+        start: Instant,
+    ) -> (Vec<Tensor3<f32>>, Vec<Duration>) {
         assert_eq!(
             plan.factors.len(),
             self.stages.len(),
@@ -579,9 +633,7 @@ impl ThreadedEngine {
         let r = &plan.factors;
         let n = self.stages.len();
         let depth = self.channel_depth;
-        let (stats_tx, stats_rx) = std::sync::mpsc::channel::<(usize, WorkerStats)>();
-        let start = Instant::now();
-        let (outputs, completion_times) = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // boundary 0: the feeder (one producer) into stage 0's workers
             let (mut feed_rows, mut cur_cols) = boundary(1, r[0], depth);
             for s in 0..n {
@@ -592,13 +644,11 @@ impl ThreadedEngine {
                     let stage = &self.stages[s];
                     let plan = &self.plans[s];
                     let r_mine = r[s];
-                    let stats_tx = stats_tx.clone();
                     // replicated workers of one stage share its cell;
                     // the counters are atomic, so concurrent adds merge
-                    let cell = live.map(|l| l.cell(s));
+                    let cell = live.cell(s);
                     scope.spawn(move || {
-                        let ws = worker_loop(stage, plan, w, r_mine, rx_col, tx_row, depth, cell);
-                        let _ = stats_tx.send((s, ws));
+                        worker_loop(stage, plan, w, r_mine, rx_col, tx_row, depth, cell)
                     });
                 }
             }
@@ -635,33 +685,19 @@ impl ThreadedEngine {
             }
             drop(feed_row);
             collector.join().expect("collector panicked")
-        });
-        let total = start.elapsed();
-        drop(stats_tx);
-        let mut busy = vec![IntervalStats::new(); n];
-        let mut wait = vec![IntervalStats::new(); n];
-        let mut send = vec![IntervalStats::new(); n];
-        while let Ok((s, ws)) = stats_rx.try_recv() {
-            busy[s].merge(&ws.busy);
-            wait[s].merge(&ws.wait);
-            send[s].merge(&ws.send);
-        }
-        let rows = (0..n)
-            .map(|s| {
-                let totals = [busy[s].total_ns, wait[s].total_ns, send[s].total_ns];
-                self.stage_row(s, r[s], busy[s].count, busy[s].max_ns, totals)
-            })
-            .collect();
-        Self::finish(outputs, completion_times, total, rows)
+        })
     }
 
-    fn run_sequential_live(
+    /// One image at a time through every stage on the calling thread,
+    /// billing `live`; completion times count from `start`. Uses the same
+    /// arenas and staging buffers as the pipeline workers, so it is
+    /// equally allocation-free per image apart from the owned output clone.
+    fn sequential_pass(
         &self,
         images: &[Tensor3<f32>],
-        live: Option<&LiveMetrics>,
-    ) -> (ExecResult, PipelineProfile) {
-        assert!(!images.is_empty(), "empty batch");
-        let start = Instant::now();
+        live: &LiveMetrics,
+        start: Instant,
+    ) -> (Vec<Tensor3<f32>>, Vec<Duration>) {
         let mut workers: Vec<Box<dyn StageWorker>> =
             self.stages.iter().map(|s| s.spec.make_worker()).collect();
         let mut bufs: Vec<Tensor3<f32>> = self
@@ -669,7 +705,6 @@ impl ThreadedEngine {
             .iter()
             .map(|s| Tensor3::zeros(s.spec.out_shape))
             .collect();
-        let mut busy = vec![IntervalStats::new(); self.stages.len()];
         let mut outputs = Vec::with_capacity(images.len());
         let mut completion_times = Vec::with_capacity(images.len());
         for img in images {
@@ -685,48 +720,29 @@ impl ThreadedEngine {
                     .collect();
                 let t = Instant::now();
                 worker.apply_multi(&refs, &mut rest[0]);
-                let dt = t.elapsed().as_nanos() as u64;
-                busy[s].record(dt);
-                if let Some(cell) = live.map(|l| l.cell(s)) {
-                    cell.add_service(dt);
-                    cell.add_items(1);
-                    cell.record_interval(dt);
-                }
+                live.cell(s).add_image(t.elapsed().as_nanos() as u64);
             }
             outputs.push(bufs.last().expect("at least one stage").clone());
             completion_times.push(start.elapsed());
         }
-        let total = start.elapsed();
-        let rows = busy
-            .iter()
-            .enumerate()
-            .map(|(s, b)| self.stage_row(s, 1, b.count, b.max_ns, [b.total_ns, 0, 0]))
-            .collect();
-        Self::finish(outputs, completion_times, total, rows)
+        (outputs, completion_times)
     }
 
     /// [`Schedule::Adaptive`]: a sequential warmup, then the rest of the
     /// batch in one or two pipelined chunks, each under a plan derived
     /// from the live cells' deltas since the previous measurement point.
-    fn run_adaptive(
+    /// Returns the plan the run ended on with the outputs.
+    fn adaptive_pass(
         &self,
         images: &[Tensor3<f32>],
         threads: usize,
-    ) -> (ExecResult, PipelineProfile) {
+        live: &Arc<LiveMetrics>,
+        start: Instant,
+    ) -> (Vec<Tensor3<f32>>, Vec<Duration>, ReplicationPlan) {
         let n = self.stages.len();
-        // tiny batches never outrun their warmup
-        if !Self::should_pipeline(threads, n) || images.len() <= ADAPTIVE_WARMUP {
-            return self.run_sequential_live(images, self.live.as_deref());
-        }
-        let live = match &self.live {
-            Some(l) => l.clone(),
-            None => self.live_metrics(),
-        };
         let mut sampler = Sampler::new(live.clone());
-        let start = Instant::now();
-        let (warm_res, warm_prof) =
-            self.run_sequential_live(&images[..ADAPTIVE_WARMUP], Some(&live));
-        let mut plan = Self::replan(&mut sampler, &start, threads);
+        let (mut outputs, mut completion_times) =
+            self.sequential_pass(&images[..ADAPTIVE_WARMUP], live, start);
         let rest = &images[ADAPTIVE_WARMUP..];
         // long batches get a second measurement point: the first pipelined
         // chunk's deltas (true per-worker service under concurrency)
@@ -736,101 +752,34 @@ impl ThreadedEngine {
         } else {
             rest.len()
         };
-        let mut parts = vec![warm_prof];
-        let mut outputs = warm_res.outputs;
-        let mut completion_times = warm_res.completion_times;
-        for (i, chunk) in [&rest[..split], &rest[split..]].into_iter().enumerate() {
+        let mut plan = ReplicationPlan::uniform(n);
+        for chunk in [&rest[..split], &rest[split..]] {
             if chunk.is_empty() {
                 continue;
             }
-            if i > 0 {
-                plan = Self::replan(&mut sampler, &start, threads);
-            }
-            let offset = start.elapsed();
-            let (res, prof) = self.run_with_plan_live(chunk, &plan, Some(&live));
-            outputs.extend(res.outputs);
-            completion_times.extend(res.completion_times.into_iter().map(|t| offset + t));
-            parts.push(prof);
+            plan = Self::replan(&mut sampler, start, threads);
+            let (outs, times) = self.pipelined_pass(chunk, &plan, live, start);
+            outputs.extend(outs);
+            completion_times.extend(times);
         }
-        let total = start.elapsed();
-        // fold the chunk profiles: totals and image counts add, means
-        // re-derive from the exact totals, replication is the final plan
-        let rows = (0..n)
-            .map(|s| {
-                let sum = |f: fn(&StageProfile) -> u64| -> u64 {
-                    parts.iter().map(|p| f(&p.stages[s])).sum()
-                };
-                let max = parts.iter().map(|p| p.stages[s].max_interval_ns).max();
-                let totals = [
-                    sum(|p| p.service_total_ns),
-                    sum(|p| p.queue_wait_total_ns),
-                    sum(|p| p.send_wait_total_ns),
-                ];
-                let images = sum(|p| p.images);
-                self.stage_row(s, plan.factors[s], images, max.unwrap_or(0), totals)
-            })
-            .collect();
-        Self::finish(outputs, completion_times, total, rows)
+        (outputs, completion_times, plan)
     }
 
     /// Sample the live cells and derive a fresh balanced plan from the
     /// measured mean service time per stage since the last sample.
-    fn replan(sampler: &mut Sampler, start: &Instant, threads: usize) -> ReplicationPlan {
+    fn replan(sampler: &mut Sampler, start: Instant, threads: usize) -> ReplicationPlan {
         let snap = sampler.sample(start.elapsed().as_nanos() as u64);
-        let measured: Vec<u64> = snap
-            .stages
-            .iter()
-            .map(|d| d.service / d.items.max(1))
-            .collect();
+        let measured: Vec<u64> = snap.stages.iter().map(|r| r.per_item(r.service)).collect();
         ReplicationPlan::balanced(&measured, threads)
     }
+}
 
-    /// One profile row from exact `[service, queue wait, send wait]`
-    /// totals; the means are the totals over the images served.
-    fn stage_row(
-        &self,
-        s: usize,
-        replication: usize,
-        images: u64,
-        max_interval_ns: u64,
-        [service, queue, send]: [u64; 3],
-    ) -> StageProfile {
-        let mean = |total: u64| total.checked_div(images).unwrap_or(0);
-        StageProfile {
-            name: self.stages[s].spec.name.clone(),
-            replication,
-            images,
-            mean_interval_ns: mean(service),
-            max_interval_ns,
-            mean_queue_wait_ns: mean(queue),
-            mean_send_wait_ns: mean(send),
-            service_total_ns: service,
-            queue_wait_total_ns: queue,
-            send_wait_total_ns: send,
-        }
-    }
-
-    /// Package a run's outputs and per-stage rows.
-    fn finish(
-        outputs: Vec<Tensor3<f32>>,
-        completion_times: Vec<Duration>,
-        total: Duration,
-        stages: Vec<StageProfile>,
-    ) -> (ExecResult, PipelineProfile) {
-        let profile = PipelineProfile {
-            stages,
-            batch: outputs.len(),
-            total_ns: total.as_nanos() as u64,
-        };
-        (
-            ExecResult {
-                outputs,
-                completion_times,
-                total,
-            },
-            profile,
-        )
-    }
+/// How one [`ThreadedEngine::run`] executes once the schedule's fallbacks
+/// and planning are resolved.
+enum Pass {
+    Sequential,
+    Pipelined(ReplicationPlan),
+    Adaptive(usize),
 }
 
 /// The host's hardware threads (1 when unknown).
@@ -992,7 +941,7 @@ mod tests {
         assert!(profile
             .stages
             .iter()
-            .all(|s| s.mean_queue_wait_ns == 0 && s.mean_send_wait_ns == 0));
+            .all(|s| s.queue_wait_total_ns == 0 && s.send_wait_total_ns == 0));
         assert_eq!(profile.batch, 6);
         // with threads to spare the pipelined path still works
         let (multi, _) = engine.run(&imgs, &Schedule::Balanced { threads: 4 });
@@ -1054,28 +1003,39 @@ mod tests {
     }
 
     #[test]
-    fn engine_live_cells_reconcile_with_profile_totals() {
+    fn profiles_are_each_runs_delta_of_a_reused_plane() {
         let design = tc1_design();
-        let imgs = batch(&design, 8, 42);
-        let engine = ThreadedEngine::new(&design);
-        // the balanced planning pre-pass runs with the cells detached, so
-        // they count each image of the batch exactly once there too
-        for schedule in [uniform(&engine), Schedule::Balanced { threads: 4 }] {
+        let (first, second) = (batch(&design, 8, 42), batch(&design, 5, 43));
+        let records = |p: &PipelineProfile| -> Vec<StageRecord> {
+            p.stages.iter().map(|s| s.record()).collect()
+        };
+        let schedules = [
+            Schedule::Sequential,
+            uniform(&ThreadedEngine::new(&design)),
+            Schedule::Balanced { threads: 4 },
+            Schedule::Adaptive { threads: 4 },
+        ];
+        for schedule in schedules {
+            let engine = ThreadedEngine::new(&design);
             let live = engine.live_metrics();
-            let engine = ThreadedEngine::new(&design).with_live(live.clone());
-            let (_, profile) = engine.run(&imgs, &schedule);
-            for (s, sp) in profile.stages.iter().enumerate() {
-                let c = live.cell(s).counters();
-                assert_eq!(c.items, sp.images, "{}", sp.name);
-                assert_eq!(c.items, 8, "{}", sp.name);
-                assert_eq!(c.service, sp.service_total_ns, "{}", sp.name);
-                assert_eq!(c.queue_wait, sp.queue_wait_total_ns, "{}", sp.name);
-                assert_eq!(c.send_wait, sp.send_wait_total_ns, "{}", sp.name);
-                // the cell histogram carries the same measurements
-                let stats = live.cell(s).interval_stats();
-                assert_eq!(stats.count, sp.images);
-                assert_eq!(stats.total_ns, sp.service_total_ns);
-                assert_eq!(stats.max_ns, sp.max_interval_ns);
+            let engine = engine.with_live(live.clone());
+            // the balanced planning pre-pass bills a private plane, so the
+            // attached one counts each image of the batch exactly once
+            let (_, p1) = engine.run(&first, &schedule);
+            assert_eq!(records(&p1), live.totals(), "{schedule:?}");
+            assert!(p1.stages.iter().all(|s| s.images == 8));
+            // a second run on the reused plane profiles only its own batch
+            let (_, p2) = engine.run(&second, &schedule);
+            assert!(p2.stages.iter().all(|s| s.images == 5), "{schedule:?}");
+            let mut both = records(&p1);
+            for (acc, d) in both.iter_mut().zip(&records(&p2)) {
+                acc.accumulate(d);
+            }
+            assert_eq!(both, live.totals(), "{schedule:?}");
+            // the histogram maximum spans the plane's life
+            for (s, sp) in p2.stages.iter().enumerate() {
+                assert_eq!(sp.max_interval_ns, live.cell(s).interval_stats().max_ns);
+                assert!(sp.max_interval_ns >= p1.stages[s].max_interval_ns);
             }
         }
     }

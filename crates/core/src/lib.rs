@@ -82,9 +82,8 @@ pub use graph::{
 };
 pub use model::{host_pipeline, reference_forward, HostStage};
 pub use observe::live::{
-    CellCounters, LiveMetrics, MetricCell, MetricUnit, MetricsSnapshot, Sampler, SpawnedSampler,
-    StageDelta,
+    LiveMetrics, MetricCell, MetricUnit, MetricsSnapshot, Sampler, SpawnedSampler,
 };
-pub use observe::{DriftReport, RunReport, SCHEMA_VERSION};
+pub use observe::{DriftReport, RunReport, StageRecord, SCHEMA_VERSION};
 pub use range::{analyze, analyze_with, observe_ranges, recommend_frac, Interval, RangeReport};
 pub use sim::{DeadlockReport, SimError, SimResult, Simulator};

@@ -1,11 +1,16 @@
-//! Flight-recorder analysis: drift reports and unified run reports.
+//! Flight-recorder analysis: one per-stage record, unified run reports and
+//! drift reports.
 //!
 //! The cycle simulator's stall taxonomy ([`crate::trace::ActorStallStats`])
 //! and the threaded engine's wait timing ([`crate::exec::PipelineProfile`])
 //! answer the same operational question — *where does the time of a
-//! pipelined run go?* — in different units. This module folds both into
-//! one serialisable [`RunReport`], and checks a traced simulation against
-//! the paper's analytical model with a [`DriftReport`]:
+//! pipelined run go?* — in different units. Both answer it with the same
+//! additive [`StageRecord`] (items, service, queue wait, send wait, idle),
+//! which is also what the live cells ([`live`]) total and what their
+//! snapshots carry as deltas. This module folds either engine's run into
+//! one serialisable [`RunReport`] of those records, in the engine's native
+//! unit, and checks a traced simulation against the paper's analytical
+//! model with a [`DriftReport`]:
 //!
 //! - every core's **measured** steady-state interval (from the trace's
 //!   initiation timestamps) must not exceed the Eq. 4 **predicted**
@@ -26,7 +31,7 @@ use serde::{Deserialize, Serialize};
 
 pub mod live;
 
-pub use live::SCHEMA_VERSION;
+pub use live::{MetricUnit, SCHEMA_VERSION};
 
 /// Minimum initiations for a steady-state interval estimate: the quartile
 /// span needs enough samples to exclude pipeline fill and drain.
@@ -290,27 +295,69 @@ impl DriftReport {
     }
 }
 
-/// One pipeline stage's time breakdown, in nanoseconds.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct StageReport {
+/// One stage's additive counters over some span of a run: a live delta,
+/// a cell's cumulative total, a run report row or the source of a host
+/// profile row. Every time counter is in the unit of the plane or report
+/// that holds the record ([`MetricUnit`]), so records add, subtract and
+/// compare exactly; any conversion happens only when rendering.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StageRecord {
     /// Stage / actor name.
     pub name: String,
-    /// Time spent doing work (compute cycles, or worker busy time).
-    pub service_ns: f64,
-    /// Time blocked waiting for input.
-    pub starved_ns: f64,
-    /// Time blocked pushing output downstream.
-    pub backpressured_ns: f64,
-    /// Time with nothing to do (pipeline fill/drain tails). The threaded
-    /// engine cannot distinguish idle from starved, so it reports 0 here
-    /// and folds the tails into `starved_ns`.
-    pub idle_ns: f64,
+    /// Work items completed: compute initiations in the simulator, whole
+    /// images in the threaded host engine.
+    pub items: u64,
+    /// Time spent doing work (`Stall::Computing` cycles / worker busy ns).
+    pub service: u64,
+    /// Time blocked waiting for input (`Stall::Starved` / queue wait).
+    pub queue_wait: u64,
+    /// Time blocked pushing output downstream (`Stall::Backpressured` /
+    /// send wait).
+    pub send_wait: u64,
+    /// Time with nothing to do (`Stall::Idle`). The threaded engine cannot
+    /// tell idle from starved, so it reports 0 here and folds the pipeline
+    /// fill/drain tails into `queue_wait`.
+    pub idle: u64,
+}
+
+impl StageRecord {
+    /// The mean of `total` per item counted (0 when none), e.g.
+    /// `r.per_item(r.service)` for the mean service time.
+    pub(crate) fn per_item(&self, total: u64) -> u64 {
+        total.checked_div(self.items).unwrap_or(0)
+    }
+
+    /// What this stage counted since the `earlier` reading of the same
+    /// monotone counters.
+    pub(crate) fn delta_since(&self, earlier: &StageRecord) -> StageRecord {
+        debug_assert_eq!(self.name, earlier.name);
+        StageRecord {
+            name: self.name.clone(),
+            items: self.items - earlier.items,
+            service: self.service - earlier.service,
+            queue_wait: self.queue_wait - earlier.queue_wait,
+            send_wait: self.send_wait - earlier.send_wait,
+            idle: self.idle - earlier.idle,
+        }
+    }
+
+    /// Add another span of the same stage.
+    pub(crate) fn accumulate(&mut self, other: &StageRecord) {
+        debug_assert_eq!(self.name, other.name);
+        self.items += other.items;
+        self.service += other.service;
+        self.queue_wait += other.queue_wait;
+        self.send_wait += other.send_wait;
+        self.idle += other.idle;
+    }
 }
 
 /// The common observability record both engines emit: where each stage's
-/// time went over one batch. Cycle counts are converted to nanoseconds so
-/// the simulator's and the threaded engine's reports are comparable.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// time went over one batch. Counts stay in the engine's native unit
+/// (simulated cycles or wall-clock nanoseconds), so a report equals the
+/// live cells of the same run exactly; [`RunReport::render`] converts to
+/// microseconds with `ns_per_unit`.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Serialisation schema version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -318,76 +365,75 @@ pub struct RunReport {
     pub engine: String,
     /// Batch size.
     pub batch: usize,
-    /// Total run time in nanoseconds.
-    pub total_ns: f64,
-    /// Per-stage breakdown, in pipeline order.
-    pub stages: Vec<StageReport>,
+    /// Unit of `total` and of every stage's time counters.
+    pub unit: MetricUnit,
+    /// Nanoseconds per `unit`: the clock period for cycles, 1 for ns.
+    pub ns_per_unit: f64,
+    /// Total run time.
+    pub total: u64,
+    /// Per-stage counters, in pipeline order.
+    pub stages: Vec<StageRecord>,
 }
 
 impl RunReport {
     /// Build from a traced simulation at the given core clock.
     pub fn from_sim(res: &SimResult, clock_hz: u64) -> Self {
-        let ns_per_cycle = 1e9 / clock_hz as f64;
         RunReport {
             schema_version: SCHEMA_VERSION,
             engine: "cycle-sim".to_string(),
             batch: res.completions.len(),
-            total_ns: res.cycles as f64 * ns_per_cycle,
+            unit: MetricUnit::Cycles,
+            ns_per_unit: 1e9 / clock_hz as f64,
+            total: res.cycles,
             stages: res
                 .stalls
                 .iter()
-                .map(|s| StageReport {
+                .zip(&res.actor_stats)
+                .map(|(s, a)| StageRecord {
                     name: s.name.clone(),
-                    service_ns: s.computing as f64 * ns_per_cycle,
-                    starved_ns: s.starved_total() as f64 * ns_per_cycle,
-                    backpressured_ns: s.backpressured_total() as f64 * ns_per_cycle,
-                    idle_ns: s.idle as f64 * ns_per_cycle,
+                    items: a.initiations,
+                    service: s.computing,
+                    queue_wait: s.starved_total(),
+                    send_wait: s.backpressured_total(),
+                    idle: s.idle,
                 })
                 .collect(),
         }
     }
 
-    /// Build from a threaded-engine profile. Uses the profile's exact
-    /// per-stage totals (not mean × images, which loses the integer
-    /// division's remainder), so the report reconciles bit-exactly with
-    /// the live telemetry cells.
+    /// Build from a threaded-engine profile, whose exact per-stage totals
+    /// are the run's delta of the engine's live cells.
     pub fn from_profile(profile: &PipelineProfile) -> Self {
         RunReport {
             schema_version: SCHEMA_VERSION,
             engine: "threaded-host".to_string(),
             batch: profile.batch,
-            total_ns: profile.total_ns as f64,
-            stages: profile
-                .stages
-                .iter()
-                .map(|s| StageReport {
-                    name: s.name.clone(),
-                    service_ns: s.service_total_ns as f64,
-                    starved_ns: s.queue_wait_total_ns as f64,
-                    backpressured_ns: s.send_wait_total_ns as f64,
-                    idle_ns: 0.0,
-                })
-                .collect(),
+            unit: MetricUnit::Nanos,
+            ns_per_unit: 1.0,
+            total: profile.total_ns,
+            stages: profile.stages.iter().map(|s| s.record()).collect(),
         }
     }
 
-    /// Fixed-width text table for console output.
+    /// Fixed-width text table for console output, in microseconds.
     pub fn render(&self) -> String {
+        let us = |v: u64| v as f64 * self.ns_per_unit / 1e3;
         let mut out = format!(
             "engine {} batch {} total {:.1} us\n\
-             stage        service_us  starved_us  blocked_us  idle_us\n",
+             stage           items  service_us  starved_us  blocked_us  idle_us\n",
             self.engine,
             self.batch,
-            self.total_ns / 1e3
+            us(self.total)
         );
         for s in &self.stages {
             out.push_str(&format!(
-                "{:<12} {:>10.1} {:>11.1} {:>11.1} {:>8.1}\n",
+                "{:<12} {:>8} {:>11.1} {:>11.1} {:>11.1} {:>8.1}\n",
                 s.name,
-                s.service_ns / 1e3,
-                s.starved_ns / 1e3,
-                s.backpressured_ns / 1e3,
-                s.idle_ns / 1e3,
+                s.items,
+                us(s.service),
+                us(s.queue_wait),
+                us(s.send_wait),
+                us(s.idle),
             ));
         }
         out
@@ -418,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn run_report_from_profile_uses_exact_totals() {
+    fn run_report_from_profile_keeps_exact_totals() {
         let profile = PipelineProfile {
             stages: vec![StageProfile {
                 name: "conv1".into(),
@@ -426,8 +472,6 @@ mod tests {
                 images: 4,
                 mean_interval_ns: 100,
                 max_interval_ns: 150,
-                mean_queue_wait_ns: 20,
-                mean_send_wait_ns: 5,
                 service_total_ns: 403,
                 queue_wait_total_ns: 81,
                 send_wait_total_ns: 22,
@@ -437,15 +481,22 @@ mod tests {
         };
         let report = RunReport::from_profile(&profile);
         assert_eq!(report.engine, "threaded-host");
-        assert_eq!(report.stages.len(), 1);
+        assert_eq!(report.unit, MetricUnit::Nanos);
         // exact totals, not mean × images (which would say 400/80/20)
-        assert_eq!(report.stages[0].service_ns, 403.0);
-        assert_eq!(report.stages[0].starved_ns, 81.0);
-        assert_eq!(report.stages[0].backpressured_ns, 22.0);
+        let want = StageRecord {
+            name: "conv1".into(),
+            items: 4,
+            service: 403,
+            queue_wait: 81,
+            send_wait: 22,
+            idle: 0,
+        };
+        assert_eq!(report.stages, vec![want]);
+        assert_eq!(report.stages[0].per_item(report.stages[0].service), 100);
+        assert_eq!(StageRecord::default().per_item(9), 0, "no items, no mean");
         let json = serde_json::to_string(&report).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.stages[0].name, "conv1");
-        assert_eq!(back.schema_version, SCHEMA_VERSION);
+        assert_eq!(back, report);
         assert!(json.contains("\"schema_version\""));
         assert!(report.render().contains("conv1"));
     }

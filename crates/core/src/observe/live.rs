@@ -1,33 +1,34 @@
 //! Live telemetry: lock-free in-flight metrics, sampled snapshots and
 //! streaming exporters.
 //!
-//! PR 4's flight recorder answers *where did the time go* only after a
-//! run completes. This module makes the same counters observable **while
-//! the run executes**: every engine (dense sim, event sim, threaded host)
-//! can be handed a [`LiveMetrics`] handle — one lock-free [`MetricCell`]
-//! per stage/actor — and bumps it from the hot path with relaxed atomic
-//! adds. A [`Sampler`] turns the monotone cumulative counters into
-//! periodic [`MetricsSnapshot`] *deltas* on a configurable tick, and two
-//! exporters stream them out: Prometheus-style text exposition
+//! The flight recorder answers *where did the time go* only after a run
+//! completes. This module makes the same counters observable **while the
+//! run executes**: every engine (dense sim, event sim, threaded host)
+//! bills a [`LiveMetrics`] plane — one lock-free [`MetricCell`] per
+//! stage/actor — from the hot path with relaxed atomic adds. A
+//! [`Sampler`] turns the monotone cumulative counters into periodic
+//! [`MetricsSnapshot`] *deltas* on a configurable tick, and two exporters
+//! stream them out: Prometheus-style text exposition
 //! ([`LiveMetrics::render_prometheus`]) and a JSONL time-series
 //! ([`snapshots_to_jsonl`]) that also feeds the Perfetto counter tracks
 //! ([`crate::trace::Trace::to_chrome_json_with_metrics`]).
 //!
-//! # The reconciliation invariant
+//! # One record, summed two ways
 //!
-//! Telemetry is only trustworthy if it cannot drift from the post-hoc
-//! truth, so the cells are written with the *same* values the flight
-//! recorder accumulates — the simulator mirrors every
-//! [`crate::trace::Stall`] classification cycle-for-cycle, and the
-//! threaded engine's workers record the identical measured `u64` into
-//! both the cell and their [`IntervalStats`]. Consequently, for any run:
+//! A cell's cumulative totals ([`LiveMetrics::totals`]), a snapshot's
+//! deltas, the sum of all deltas ([`sum_deltas`]) and a
+//! [`crate::observe::RunReport`]'s rows are all the same type,
+//! [`StageRecord`], in the plane's unit. Telemetry is only trustworthy if
+//! it cannot drift from the post-hoc truth, so:
 //!
-//! * summing all snapshot deltas per stage reproduces the final
-//!   [`crate::trace::ActorStallStats`] counters (and therefore the
-//!   [`crate::observe::RunReport`]) **exactly** — no rounding, no
-//!   sampling loss;
-//! * cumulative cell totals equal the threaded engine's
-//!   [`crate::exec::StageProfile`] totals exactly.
+//! * the simulator mirrors every [`crate::trace::Stall`] classification
+//!   into the cells cycle-for-cycle, so `sum_deltas` of a run sampled to
+//!   completion equals `RunReport::from_sim(..).stages` and the cell
+//!   totals — one `assert_eq!` between `Vec<StageRecord>`s;
+//! * the threaded engine has no other per-stage accumulator: each
+//!   [`crate::exec::StageProfile`] row *is* the run's delta of the cells
+//!   it billed, so `RunReport::from_profile(..).stages` equals the summed
+//!   snapshot deltas of that run.
 //!
 //! `tests/live_telemetry.rs` pins both, on the paper test cases and on
 //! the random-design corpus.
@@ -46,9 +47,11 @@
 //! read after the run's threads have joined — a happens-before edge that
 //! makes the final totals precise without any fences in the hot path.
 
+use crate::observe::StageRecord;
 use crate::trace::{bucket_of, IntervalStats, Stall};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,7 +59,7 @@ use std::time::{Duration, Instant};
 /// ([`MetricsSnapshot`], [`crate::observe::RunReport`],
 /// [`crate::observe::DriftReport`]), so exporter consumers can evolve
 /// safely.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The time unit a telemetry source counts in: the cycle-accurate
 /// simulator bills simulated **cycles**, the threaded host engine bills
@@ -77,42 +80,6 @@ impl MetricUnit {
             MetricUnit::Cycles => "cycles",
             MetricUnit::Nanos => "ns",
         }
-    }
-}
-
-/// A point-in-time copy of one cell's cumulative counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CellCounters {
-    /// Work items completed: compute initiations in the simulator, whole
-    /// images in the threaded host engine.
-    pub items: u64,
-    /// Time spent doing work (`Stall::Computing` cycles / worker busy ns).
-    pub service: u64,
-    /// Time blocked waiting for input (`Stall::Starved` / queue wait).
-    pub queue_wait: u64,
-    /// Time blocked pushing output (`Stall::Backpressured` / send wait).
-    pub send_wait: u64,
-    /// Time with nothing to do (`Stall::Idle`; 0 on the host engine).
-    pub idle: u64,
-}
-
-impl CellCounters {
-    fn delta_since(&self, last: &CellCounters) -> CellCounters {
-        CellCounters {
-            items: self.items - last.items,
-            service: self.service - last.service,
-            queue_wait: self.queue_wait - last.queue_wait,
-            send_wait: self.send_wait - last.send_wait,
-            idle: self.idle - last.idle,
-        }
-    }
-
-    fn accumulate(&mut self, d: &CellCounters) {
-        self.items += d.items;
-        self.service += d.service;
-        self.queue_wait += d.queue_wait;
-        self.send_wait += d.send_wait;
-        self.idle += d.idle;
     }
 }
 
@@ -183,6 +150,15 @@ impl MetricCell {
         self.idle.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Bill one image served in `ns` of service time — the host engine's
+    /// per-image record: an item, its service and its histogram interval.
+    #[inline]
+    pub(crate) fn add_image(&self, ns: u64) {
+        self.add_items(1);
+        self.add_service(ns);
+        self.record_interval(ns);
+    }
+
     /// Bill `n` units of the simulator's stall taxonomy — the mapping the
     /// flight recorder mirrors: `Computing → service`,
     /// `Starved → queue_wait`, `Backpressured → send_wait`, `Idle → idle`.
@@ -207,9 +183,10 @@ impl MetricCell {
         self.int_buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot the cumulative counters.
-    pub fn counters(&self) -> CellCounters {
-        CellCounters {
+    /// The cumulative counters, as stage `name`'s record.
+    fn record(&self, name: &str) -> StageRecord {
+        StageRecord {
+            name: name.to_string(),
             items: self.items.load(Ordering::Relaxed),
             service: self.service.load(Ordering::Relaxed),
             queue_wait: self.queue_wait.load(Ordering::Relaxed),
@@ -278,8 +255,20 @@ impl LiveMetrics {
     }
 
     /// Cumulative counters of every cell, in cell order.
-    pub fn totals(&self) -> Vec<CellCounters> {
-        self.cells.iter().map(|c| c.counters()).collect()
+    pub fn totals(&self) -> Vec<StageRecord> {
+        self.names
+            .iter()
+            .zip(&self.cells)
+            .map(|(name, c)| c.record(name))
+            .collect()
+    }
+
+    /// The current p99 of every cell's interval histogram, in cell order.
+    fn p99_intervals(&self) -> Vec<u64> {
+        self.cells
+            .iter()
+            .map(|c| c.interval_stats().p99_ns())
+            .collect()
     }
 
     /// Prometheus-style text exposition of the *cumulative* counters —
@@ -288,7 +277,7 @@ impl LiveMetrics {
     pub fn render_prometheus(&self) -> String {
         let unit = self.unit.label();
         let mut out = String::new();
-        type Series = (&'static str, fn(&CellCounters) -> u64, &'static str);
+        type Series = (&'static str, fn(&StageRecord) -> u64, &'static str);
         let series: [Series; 5] = [
             (
                 "dfcnn_stage_items_total",
@@ -319,10 +308,11 @@ impl LiveMetrics {
         let totals = self.totals();
         for (name, get, help) in series {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for (stage, c) in self.names.iter().zip(&totals) {
+            for r in &totals {
                 out.push_str(&format!(
-                    "{name}{{stage=\"{stage}\",unit=\"{unit}\"}} {}\n",
-                    get(c)
+                    "{name}{{stage=\"{}\",unit=\"{unit}\"}} {}\n",
+                    r.name,
+                    get(r)
                 ));
             }
         }
@@ -330,34 +320,13 @@ impl LiveMetrics {
             "# HELP dfcnn_stage_interval_p99 p99 of the measured stage interval\n\
              # TYPE dfcnn_stage_interval_p99 gauge\n",
         );
-        for (stage, cell) in self.names.iter().zip(&self.cells) {
+        for (stage, p99) in self.names.iter().zip(self.p99_intervals()) {
             out.push_str(&format!(
-                "dfcnn_stage_interval_p99{{stage=\"{stage}\",unit=\"{unit}\"}} {}\n",
-                cell.interval_stats().p99_ns()
+                "dfcnn_stage_interval_p99{{stage=\"{stage}\",unit=\"{unit}\"}} {p99}\n"
             ));
         }
         out
     }
-}
-
-/// One stage's counter *deltas* since the previous snapshot, plus the
-/// cumulative interval p99 at sample time (a gauge, not a delta).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StageDelta {
-    /// Stage / actor name.
-    pub stage: String,
-    /// Work items completed in the interval.
-    pub items: u64,
-    /// Service time billed in the interval.
-    pub service: u64,
-    /// Input-wait time billed in the interval.
-    pub queue_wait: u64,
-    /// Output-wait time billed in the interval.
-    pub send_wait: u64,
-    /// Idle time billed in the interval.
-    pub idle: u64,
-    /// Cumulative p99 of the measured stage interval at sample time.
-    pub p99_interval: u64,
 }
 
 /// One sampler tick: per-stage deltas since the previous snapshot. The
@@ -376,7 +345,10 @@ pub struct MetricsSnapshot {
     /// Unit of `at` and of every time-valued counter.
     pub unit: MetricUnit,
     /// Per-stage deltas, in cell order.
-    pub stages: Vec<StageDelta>,
+    pub stages: Vec<StageRecord>,
+    /// Per-stage cumulative p99 of the measured interval at sample time,
+    /// in cell order: a gauge, so it sits beside the additive deltas.
+    pub p99_interval: Vec<u64>,
 }
 
 /// Turns the cumulative cells into periodic [`MetricsSnapshot`] deltas.
@@ -388,7 +360,7 @@ pub struct MetricsSnapshot {
 #[derive(Debug)]
 pub struct Sampler {
     live: Arc<LiveMetrics>,
-    last: Vec<CellCounters>,
+    last: Vec<StageRecord>,
     seq: u64,
     snapshots: Vec<MetricsSnapshot>,
 }
@@ -414,23 +386,10 @@ impl Sampler {
     /// the previous snapshot (or the construction baseline).
     pub fn sample(&mut self, at: u64) -> &MetricsSnapshot {
         let cur = self.live.totals();
-        let stages = self
-            .live
-            .names()
+        let stages = cur
             .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let d = cur[i].delta_since(&self.last[i]);
-                StageDelta {
-                    stage: name.clone(),
-                    items: d.items,
-                    service: d.service,
-                    queue_wait: d.queue_wait,
-                    send_wait: d.send_wait,
-                    idle: d.idle,
-                    p99_interval: self.live.cell(i).interval_stats().p99_ns(),
-                }
-            })
+            .zip(&self.last)
+            .map(|(c, l)| c.delta_since(l))
             .collect();
         self.last = cur;
         let snap = MetricsSnapshot {
@@ -439,6 +398,7 @@ impl Sampler {
             at,
             unit: self.live.unit(),
             stages,
+            p99_interval: self.live.p99_intervals(),
         };
         self.seq += 1;
         self.snapshots.push(snap);
@@ -459,25 +419,14 @@ impl Sampler {
 /// Sum every snapshot's deltas per stage — the reconciliation side of the
 /// invariant: for a run sampled to completion (final flush included),
 /// this equals the run's final cumulative counters exactly.
-pub fn sum_deltas(snapshots: &[MetricsSnapshot]) -> Vec<(String, CellCounters)> {
-    let mut acc: Vec<(String, CellCounters)> = Vec::new();
-    for snap in snapshots {
-        if acc.is_empty() {
-            acc = snap
-                .stages
-                .iter()
-                .map(|d| (d.stage.clone(), CellCounters::default()))
-                .collect();
-        }
-        for (slot, d) in acc.iter_mut().zip(&snap.stages) {
-            debug_assert_eq!(slot.0, d.stage);
-            slot.1.accumulate(&CellCounters {
-                items: d.items,
-                service: d.service,
-                queue_wait: d.queue_wait,
-                send_wait: d.send_wait,
-                idle: d.idle,
-            });
+pub fn sum_deltas(snapshots: &[MetricsSnapshot]) -> Vec<StageRecord> {
+    let Some((first, rest)) = snapshots.split_first() else {
+        return Vec::new();
+    };
+    let mut acc = first.stages.clone();
+    for snap in rest {
+        for (a, d) in acc.iter_mut().zip(&snap.stages) {
+            a.accumulate(d);
         }
     }
     acc
@@ -501,7 +450,8 @@ pub fn snapshots_to_jsonl(snapshots: &[MetricsSnapshot]) -> String {
 /// happens-before edge).
 #[derive(Debug)]
 pub struct SpawnedSampler {
-    stop: Arc<AtomicBool>,
+    /// Dropped to wake the thread and stop the tick loop.
+    stop: mpsc::Sender<()>,
     handle: std::thread::JoinHandle<Sampler>,
 }
 
@@ -511,13 +461,12 @@ impl SpawnedSampler {
     /// taken before the thread starts, so traffic recorded as soon as
     /// `spawn` returns lands in the snapshots, not in the baseline.
     pub fn spawn(live: Arc<LiveMetrics>, tick: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
+        let (stop, stopped) = mpsc::channel::<()>();
         let start = Instant::now();
         let mut sampler = Sampler::new(live);
         let handle = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(tick);
+            // the wait ends early when `finish` drops the sender
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(tick) {
                 sampler.sample(start.elapsed().as_nanos() as u64);
             }
             // final flush so the series sums to the cumulative totals
@@ -527,10 +476,10 @@ impl SpawnedSampler {
         SpawnedSampler { stop, handle }
     }
 
-    /// Stop the tick loop, take the final flush sample and return the
-    /// snapshot time-series.
+    /// Stop the tick loop at once, take the final flush sample and return
+    /// the snapshot time-series.
     pub fn finish(self) -> Vec<MetricsSnapshot> {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop);
         self.handle
             .join()
             .expect("sampler thread panicked")
@@ -557,18 +506,19 @@ mod tests {
         live.cell(0).add_stall(Stall::Backpressured(0), 2);
         live.cell(0).add_stall(Stall::Idle, 7);
         live.cell(0).add_items(4);
-        let c = live.cell(0).counters();
-        assert_eq!(
-            c,
-            CellCounters {
-                items: 4,
-                service: 5,
-                queue_wait: 3,
-                send_wait: 2,
-                idle: 7
-            }
-        );
-        assert_eq!(live.cell(1).counters(), CellCounters::default());
+        let want = StageRecord {
+            name: "conv1".into(),
+            items: 4,
+            service: 5,
+            queue_wait: 3,
+            send_wait: 2,
+            idle: 7,
+        };
+        let idle = StageRecord {
+            name: "fc1".into(),
+            ..StageRecord::default()
+        };
+        assert_eq!(live.totals(), vec![want, idle]);
     }
 
     #[test]
@@ -601,12 +551,7 @@ mod tests {
         assert_eq!(snaps[1].stages[1].queue_wait, 8);
         assert_eq!(snaps[0].seq, 0);
         assert_eq!(snaps[1].seq, 1);
-        let summed = sum_deltas(snaps);
-        assert_eq!(summed.len(), 2);
-        for (i, (name, acc)) in summed.iter().enumerate() {
-            assert_eq!(name, &live.names()[i]);
-            assert_eq!(acc, &live.cell(i).counters());
-        }
+        assert_eq!(sum_deltas(snaps), live.totals());
     }
 
     #[test]
@@ -661,9 +606,22 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         let snaps = sampler.finish();
         assert!(!snaps.is_empty());
-        let summed = sum_deltas(&snaps);
-        assert_eq!(summed[0].1, live.cell(0).counters());
+        assert_eq!(sum_deltas(&snaps), live.totals());
         assert!(snaps.windows(2).all(|w| w[0].at <= w[1].at));
+    }
+
+    #[test]
+    fn spawned_sampler_finishes_without_waiting_out_its_tick() {
+        let live = LiveMetrics::new(MetricUnit::Nanos, vec!["s0".to_string()]);
+        let sampler = SpawnedSampler::spawn(live.clone(), Duration::from_secs(10));
+        live.cell(0).add_items(2);
+        live.cell(0).add_send_wait(30);
+        let t = Instant::now();
+        let snaps = sampler.finish();
+        assert!(t.elapsed() < Duration::from_secs(1), "{:?}", t.elapsed());
+        // no tick elapsed: the final flush is the only sample
+        assert_eq!(snaps.len(), 1);
+        assert_eq!(sum_deltas(&snaps), live.totals());
     }
 
     #[test]
@@ -671,7 +629,7 @@ mod tests {
         let live = LiveMetrics::new(MetricUnit::Nanos, vec!["s0".to_string()]);
         live.cell(0).add_items(3);
         live.cell(0).add_service(700);
-        let before = live.cell(0).counters();
+        let before = live.totals();
         let sampler = SpawnedSampler::spawn(live.clone(), Duration::from_millis(1));
         // recorded before the sampler thread can have taken any sample
         live.cell(0).add_items(5);
@@ -679,7 +637,7 @@ mod tests {
         live.cell(0).add_queue_wait(40);
         let snaps = sampler.finish();
         let summed = sum_deltas(&snaps);
-        assert_eq!(summed[0].1, live.cell(0).counters().delta_since(&before));
-        assert_eq!(summed[0].1.items, 5);
+        assert_eq!(summed[0], live.totals()[0].delta_since(&before[0]));
+        assert_eq!(summed[0].items, 5);
     }
 }

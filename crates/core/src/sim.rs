@@ -266,12 +266,6 @@ impl Simulator {
         self
     }
 
-    /// Replace the engine configuration.
-    pub fn with_config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Select the dense reference sweep (the conformance oracle).
     pub fn reference_mode(mut self) -> Self {
         self.config.reference_mode = true;
@@ -927,15 +921,8 @@ mod tests {
             }
             let live = sim.live_metrics();
             let (res, _) = sim.with_live(live.clone()).run();
-            assert_eq!(live.len(), res.stalls.len());
-            for (i, s) in res.stalls.iter().enumerate() {
-                let c = live.cell(i).counters();
-                assert_eq!(c.service, s.computing, "{}", s.name);
-                assert_eq!(c.queue_wait, s.starved_total(), "{}", s.name);
-                assert_eq!(c.send_wait, s.backpressured_total(), "{}", s.name);
-                assert_eq!(c.idle, s.idle, "{}", s.name);
-                assert_eq!(c.items, res.actor_stats[i].initiations, "{}", s.name);
-            }
+            let report = crate::observe::RunReport::from_sim(&res, 100_000_000);
+            assert_eq!(live.totals(), report.stages);
         }
     }
 
@@ -968,17 +955,11 @@ mod tests {
             assert!(snaps.len() >= 2, "mid-run ticks plus the final flush");
             assert!(snaps.windows(2).all(|w| w[0].at <= w[1].at));
             assert_eq!(snaps.last().unwrap().at, res.cycles);
-            let summed = sum_deltas(&snaps);
             // live runs record the stall taxonomy even without a trace
-            assert_eq!(res.stalls.len(), summed.len());
-            for (i, (name, acc)) in summed.iter().enumerate() {
-                assert_eq!(name, &res.stalls[i].name);
-                assert_eq!(acc.service, res.stalls[i].computing);
-                assert_eq!(acc.queue_wait, res.stalls[i].starved_total());
-                assert_eq!(acc.send_wait, res.stalls[i].backpressured_total());
-                assert_eq!(acc.idle, res.stalls[i].idle);
-                assert_eq!(acc.items, res.actor_stats[i].initiations);
-            }
+            let report = crate::observe::RunReport::from_sim(&res, 100_000_000);
+            assert_eq!(res.stalls.len(), live.len());
+            assert_eq!(sum_deltas(&snaps), report.stages);
+            assert_eq!(report.stages, live.totals());
         }
     }
 

@@ -192,11 +192,6 @@ impl WindowEngine {
         self.ports[p].buf.len()
     }
 
-    /// Index of the window the engine will deliver next (global).
-    pub fn next_window_index(&self) -> u64 {
-        self.next_window
-    }
-
     /// Padded-space anchor of global window `w`:
     /// `(image, y0, x0)`.
     fn anchor(&self, w: u64) -> (u64, isize, isize) {

@@ -232,15 +232,6 @@ impl ChannelSet {
         self.cur_actor = actor;
     }
 
-    /// Consume actor `actor`'s "tick this cycle" flag.
-    #[inline]
-    pub fn take_wake_now(&mut self, actor: usize) -> bool {
-        let (w, bit) = (actor >> 6, 1u64 << (actor & 63));
-        let set = self.wake_now[w] & bit != 0;
-        self.wake_now[w] &= !bit;
-        set
-    }
-
     /// Word `w` of the "tick this cycle" flags.
     #[inline]
     pub fn wake_now_word(&self, w: usize) -> u64 {

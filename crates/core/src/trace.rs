@@ -451,13 +451,13 @@ impl Trace {
                 crate::observe::live::MetricUnit::Nanos => snap.at as f64 / 1e3,
             };
             for d in &snap.stages {
-                let e = cum.entry(d.stage.clone()).or_insert((0, 0));
+                let e = cum.entry(d.name.clone()).or_insert((0, 0));
                 e.0 += d.items;
                 e.1 += d.queue_wait + d.send_wait;
                 events.push(serde::Value::Map(vec![
                     (
                         "name".to_string(),
-                        serde::Value::Str(format!("telemetry:{}", d.stage)),
+                        serde::Value::Str(format!("telemetry:{}", d.name)),
                     ),
                     ("cat".to_string(), serde::Value::Str("telemetry".into())),
                     ("ph".to_string(), serde::Value::Str("C".into())),
@@ -485,10 +485,10 @@ impl Trace {
 }
 
 /// Running statistics over a series of measured intervals (nanoseconds) —
-/// the host-side analogue of a stage's initiation-interval histogram. Used
-/// by the threaded engine's workers to time per-image service and
-/// queue-wait, and aggregated into a
-/// [`crate::exec::PipelineProfile`].
+/// the analogue of a stage's initiation-interval histogram. A live
+/// [`crate::observe::live::MetricCell`] folds its atomic histogram into
+/// one ([`crate::observe::live::MetricCell::interval_stats`]) to reuse the
+/// quantile machinery here.
 ///
 /// Alongside count/total/max/min, a 64-bucket power-of-two histogram
 /// supports a cheap high-quantile estimate ([`IntervalStats::p99_ns`]) —
@@ -565,8 +565,7 @@ impl IntervalStats {
         self.buckets[bucket_of(ns)] += 1;
     }
 
-    /// Fold another series into this one (used to merge per-worker stats
-    /// of a replicated stage).
+    /// Fold another series into this one (e.g. the series of two workers).
     pub fn merge(&mut self, other: &IntervalStats) {
         self.min_ns = match (self.count, other.count) {
             (_, 0) => self.min_ns,
@@ -584,11 +583,6 @@ impl IntervalStats {
     /// Mean interval in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Mean interval in fractional milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        self.mean_ns() as f64 / 1e6
     }
 
     /// Smallest single interval in nanoseconds (0 when empty).

@@ -113,11 +113,7 @@ fn assert_flight_recording_sound(design: &NetworkDesign, images: &[Tensor3<f32>]
     assert_eq!(report.batch, images.len());
     let json = serde_json::to_string(&report).unwrap();
     let back: RunReport = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.stages.len(), report.stages.len());
-    for (a, b) in back.stages.iter().zip(report.stages.iter()) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.service_ns, b.service_ns);
-    }
+    assert_eq!(back, report);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Live-telemetry acceptance tests: the ISSUE 9 reconciliation contract.
+//! Live-telemetry acceptance tests: the reconciliation contract.
 //!
 //! A metrics plane you cannot trust is worse than none, so this file pins
 //! the two invariants that make `observe::live` trustworthy, on the
@@ -8,10 +8,11 @@
 //!   the `SimResult`, the event trace, the stall tracks and the threaded
 //!   engine's outputs are identical to a telemetry-off run;
 //! * **exact reconciliation** — summing every `MetricsSnapshot` delta of
-//!   a sampled run reproduces the post-hoc truth exactly: the flight
-//!   recorder's per-actor stall counters and initiation counts in the
-//!   simulator, the `StageProfile` totals (and hence the `RunReport`) in
-//!   the threaded host engine. No rounding, no sampling loss.
+//!   a sampled run reproduces the post-hoc truth exactly: the
+//!   `RunReport` built from the flight recorder's stall counters and
+//!   initiation counts in the simulator, or from the `StageProfile` in
+//!   the threaded host engine. All three sides are `Vec<StageRecord>`, so
+//!   each check is one `assert_eq!`. No rounding, no sampling loss.
 //!
 //! The exporters ride the same data, so they are checked here too: the
 //! Prometheus exposition names every stage, and the JSONL time-series
@@ -20,7 +21,9 @@
 mod common;
 
 use dfcnn::core::graph::{DesignConfig, NetworkDesign, PortConfig};
-use dfcnn::core::observe::live::{snapshots_to_jsonl, sum_deltas, MetricsSnapshot, Sampler};
+use dfcnn::core::observe::live::{
+    snapshots_to_jsonl, sum_deltas, MetricsSnapshot, Sampler, SpawnedSampler,
+};
 use dfcnn::core::observe::{RunReport, SCHEMA_VERSION};
 use dfcnn::core::SimResult;
 use dfcnn::prelude::*;
@@ -28,6 +31,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::Duration;
 
 fn tc1() -> (NetworkDesign, Vec<Tensor3<f32>>) {
     let mut rng = ChaCha8Rng::seed_from_u64(61);
@@ -102,23 +106,16 @@ fn assert_sim_reconciles(design: &NetworkDesign, images: &[Tensor3<f32>], refere
         "final flush at run end"
     );
     let summed = sum_deltas(&snaps);
-    assert_eq!(summed.len(), res.stalls.len());
-    for (i, (name, acc)) in summed.iter().enumerate() {
-        let s = &res.stalls[i];
-        assert_eq!(name, &s.name);
-        assert_eq!(acc.service, s.computing, "{name}: service");
-        assert_eq!(acc.queue_wait, s.starved_total(), "{name}: queue wait");
-        assert_eq!(acc.send_wait, s.backpressured_total(), "{name}: send wait");
-        assert_eq!(acc.idle, s.idle, "{name}: idle");
+    let report = RunReport::from_sim(&res, design.config().clock_hz);
+    assert_eq!(summed, report.stages);
+    assert_eq!(report.stages, live.totals());
+    // the accounting identity transfers to the cells
+    for r in &summed {
         assert_eq!(
-            acc.items, res.actor_stats[i].initiations,
-            "{name}: items vs initiations"
-        );
-        // the accounting identity transfers to the cells
-        assert_eq!(
-            acc.service + acc.queue_wait + acc.send_wait + acc.idle,
+            r.service + r.queue_wait + r.send_wait + r.idle,
             res.cycles,
-            "{name}: cell accounting identity"
+            "{}: cell accounting identity",
+            r.name
         );
     }
 }
@@ -162,21 +159,12 @@ fn live_totals_match_the_run_report() {
     let live = sim.live_metrics();
     let (res, _) = sim.with_live(live.clone()).run();
     let report = RunReport::from_sim(&res, design.config().clock_hz);
-    let ns_per_cycle = 1e9 / design.config().clock_hz as f64;
-    assert_eq!(report.stages.len(), live.len());
-    for (i, stage) in report.stages.iter().enumerate() {
-        let c = live.cell(i).counters();
-        assert_eq!(stage.name, live.names()[i]);
-        assert_eq!(stage.service_ns, c.service as f64 * ns_per_cycle);
-        assert_eq!(stage.starved_ns, c.queue_wait as f64 * ns_per_cycle);
-        assert_eq!(stage.backpressured_ns, c.send_wait as f64 * ns_per_cycle);
-        assert_eq!(stage.idle_ns, c.idle as f64 * ns_per_cycle);
-    }
+    assert_eq!(report.stages, live.totals());
 }
 
-/// The threaded host engine reconciles too: cumulative cell totals equal
-/// the profile's exact totals, which is what RunReport::from_profile
-/// serialises — the same invariant in wall-clock nanoseconds.
+/// The threaded host engine reconciles too: the profile is the run's
+/// delta of the cells, which is what RunReport::from_profile serialises —
+/// the same invariant in wall-clock nanoseconds.
 #[test]
 fn threaded_engine_reconciles_with_its_report() {
     let (design, _) = tc1();
@@ -189,13 +177,27 @@ fn threaded_engine_reconciles_with_its_report() {
     assert_eq!(res.outputs, seq_outputs, "adaptive run must stay bit-exact");
     let report = RunReport::from_profile(&profile);
     assert_eq!(report.schema_version, SCHEMA_VERSION);
-    for (s, stage) in report.stages.iter().enumerate() {
-        let c = live.cell(s).counters();
-        assert_eq!(c.items, profile.stages[s].images, "{}", stage.name);
-        assert_eq!(stage.service_ns, c.service as f64, "{}", stage.name);
-        assert_eq!(stage.starved_ns, c.queue_wait as f64, "{}", stage.name);
-        assert_eq!(stage.backpressured_ns, c.send_wait as f64, "{}", stage.name);
-    }
+    assert_eq!(report.stages, live.totals());
+    assert!(report.stages.iter().all(|r| r.items == 8));
+}
+
+/// A background sampler on a real host run whose plane already carries
+/// an earlier batch: the snapshots sum to exactly the sampled run's
+/// report, and every row counts only that run's images.
+#[test]
+fn spawned_sampler_reconciles_a_pipelined_run_on_a_used_plane() {
+    let (design, _) = tc1();
+    let (warm, images) = (design_images(&design, 3, 74), design_images(&design, 7, 75));
+    let engine = ThreadedEngine::new(&design);
+    let live = engine.live_metrics();
+    let engine = engine.with_live(live.clone());
+    let _ = engine.run(&warm, &Schedule::Sequential);
+    let sampler = SpawnedSampler::spawn(live.clone(), Duration::from_millis(1));
+    let (_, profile) = engine.run(&images, &Schedule::Balanced { threads: 4 });
+    let snaps = sampler.finish();
+    let report = RunReport::from_profile(&profile);
+    assert_eq!(sum_deltas(&snaps), report.stages);
+    assert!(report.stages.iter().all(|r| r.items == 7), "{report:?}");
 }
 
 /// Telemetry-off vs telemetry-on, untraced: outputs, completions, cycle
